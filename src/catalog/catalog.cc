@@ -26,6 +26,7 @@
 #include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -89,11 +90,19 @@ class ByteReader {
     return v;
   }
   bool Str(std::string* out) {
-    const uint32_t n = U32();
-    if (!Require(n)) return false;
-    out->assign(reinterpret_cast<const char*>(p_ + off_), n);
-    off_ += n;
+    const char* s = nullptr;
+    const uint32_t n = StrView(&s);
+    if (s == nullptr) return false;
+    out->assign(s, n);
     return true;
+  }
+  /// Length-prefixed bytes left in place: `*data` is null on overrun.
+  uint32_t StrView(const char** data) {
+    const uint32_t n = U32();
+    if (!Require(n)) return 0;
+    *data = reinterpret_cast<const char*>(p_ + off_);
+    off_ += n;
+    return n;
   }
   bool U64Span(size_t count, std::vector<uint64_t>* out) {
     if (count > (size_ - off_) / sizeof(uint64_t)) {
@@ -563,13 +572,16 @@ void WriteValue(ByteWriter* w, const Value& v) {
   }
 }
 
+/// Reads one dictionary record. With `out` null the record is only
+/// validated (type tag, payload within the segment) and skipped.
 Status ReadValue(ByteReader* r, Value* out) {
   const uint8_t type = r->U8();
   switch (static_cast<ValueType>(type)) {
     case ValueType::kString: {
-      std::string s;
-      if (!r->Str(&s)) break;
-      *out = Value::String(std::move(s));
+      const char* s = nullptr;
+      const uint32_t n = r->StrView(&s);
+      if (s == nullptr) break;
+      if (out != nullptr) *out = Value::String(std::string(s, n));
       return Status::OK();
     }
     case ValueType::kInt64: {
@@ -577,7 +589,7 @@ Status ReadValue(ByteReader* r, Value* out) {
       if (r->failed()) break;
       int64_t i;
       std::memcpy(&i, &bits, sizeof(i));
-      *out = Value::Int(i);
+      if (out != nullptr) *out = Value::Int(i);
       return Status::OK();
     }
     case ValueType::kDouble: {
@@ -585,13 +597,13 @@ Status ReadValue(ByteReader* r, Value* out) {
       if (r->failed()) break;
       double d;
       std::memcpy(&d, &bits, sizeof(d));
-      *out = Value::Double(d);
+      if (out != nullptr) *out = Value::Double(d);
       return Status::OK();
     }
     case ValueType::kBool: {
       const uint8_t b = r->U8();
       if (r->failed()) break;
-      *out = Value::Bool(b != 0);
+      if (out != nullptr) *out = Value::Bool(b != 0);
       return Status::OK();
     }
     default:
@@ -1237,6 +1249,7 @@ struct StagedTable {
   bool replaces_live = false;  ///< refresh: a stale live table must go first
 };
 
+/// `remap` maps file codes to session codes; empty means they are equal.
 Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
                        uint64_t value_count,
                        const std::vector<uint32_t>& remap,
@@ -1264,16 +1277,19 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
     return Status::IoError(
         StrFormat("catalog table block for '%s' truncated", e.name.c_str()));
   }
+  // Codes and cells are built column by column at their exact size; cells
+  // decode to exactly the writer's values, so results downstream are
+  // byte-identical.
   out->columns.reserve(cols);
-  std::vector<uint32_t> file_codes;
+  std::vector<std::vector<Value>> cells(cols);
   for (uint32_t c = 0; c < cols; ++c) {
-    if (!r.U32Span(static_cast<size_t>(rows), &file_codes)) {
+    auto codes = std::make_shared<std::vector<uint32_t>>();
+    if (!r.U32Span(static_cast<size_t>(rows), codes.get())) {
       return Status::IoError(StrFormat(
           "catalog table block for '%s' truncated", e.name.c_str()));
     }
-    auto session_codes = std::make_shared<std::vector<uint32_t>>();
-    session_codes->reserve(file_codes.size());
-    for (uint32_t code : file_codes) {
+    cells[c].reserve(codes->size());
+    for (uint32_t& code : *codes) {
       if (code > value_count) {
         return Status::IoError(StrFormat(
             "catalog table block for '%s' references code %u beyond the "
@@ -1281,21 +1297,15 @@ Status ParseTableBlock(const MappedFile& seg, const ManifestEntry& e,
             e.name.c_str(), code,
             static_cast<unsigned long long>(value_count)));
       }
-      session_codes->push_back(remap[code]);
+      if (!remap.empty()) code = remap[code];
+      cells[c].push_back(dict.Decode(code));
     }
-    out->columns.push_back(std::move(session_codes));
+    out->columns.push_back(std::move(codes));
   }
-  // Materialize the Table row-wise from the remapped codes: cells decode to
-  // exactly the writer's values, so results downstream are byte-identical.
-  Table table(e.name, Schema(std::move(fields)));
-  std::vector<Value> row(cols);
-  for (uint64_t rr = 0; rr < rows; ++rr) {
-    for (uint32_t c = 0; c < cols; ++c) {
-      row[c] = dict.Decode((*out->columns[c])[static_cast<size_t>(rr)]);
-    }
-    Status appended = table.AppendRow(row);
-    if (!appended.ok()) return appended;
-  }
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      Table table,
+      Table::FromColumns(e.name, Schema(std::move(fields)), std::move(cells),
+                         static_cast<size_t>(rows)));
   out->name = e.name;
   out->table = std::make_shared<const Table>(std::move(table));
   return Status::OK();
@@ -1356,6 +1366,56 @@ Status ParseSketchBlock(const MappedFile& seg, const ManifestEntry& e,
   if (r.failed()) {
     return Status::IoError(StrFormat(
         "catalog sketch block for '%s' truncated", e.name.c_str()));
+  }
+  return Status::OK();
+}
+
+/// The values segment's parse restarts: checkpoint k is the offset of code
+/// k * kValueCheckpoint (code 1 for k = 0), so a parse of any code range
+/// starts at most kValueCheckpoint - 1 records early.
+constexpr uint32_t kValueCheckpoint = 1024;
+
+/// Bulk restore of file codes 1..m.value_count into `out`, a dictionary no
+/// other thread sees yet, under the same codes. A serial scan validates
+/// every record's type tag and length; the parse that follows runs on
+/// `pool` and cannot fail. A value stored twice is corruption: the writer's
+/// dictionary never holds two codes for one value.
+Status RestoreDictionary(const MappedFile& values, const MappedFile& hashes,
+                         const Manifest& m, ThreadPool* pool,
+                         ValueDict* out) {
+  const size_t size = static_cast<size_t>(m.values.size);
+  std::vector<size_t> checkpoints;
+  checkpoints.reserve(static_cast<size_t>(m.value_count / kValueCheckpoint) +
+                      1);
+  ByteReader scan(values.data(), size);
+  for (uint64_t code = 1; code <= m.value_count; ++code) {
+    if (code == 1 || code % kValueCheckpoint == 0) {
+      checkpoints.push_back(scan.offset());
+    }
+    LAKEFUZZ_RETURN_IF_ERROR(ReadValue(&scan, nullptr));
+  }
+  const uint32_t duplicate = out->RestoreAll(
+      static_cast<uint32_t>(m.value_count), pool,
+      [&](uint32_t begin, uint32_t end, Value* slots, uint64_t* slot_hashes) {
+        const uint32_t k = begin / kValueCheckpoint;
+        ByteReader r(values.data() + checkpoints[k], size - checkpoints[k]);
+        // The scan validated every record, so none of these reads fail.
+        for (uint32_t code = std::max<uint32_t>(1, k * kValueCheckpoint);
+             code < begin; ++code) {
+          (void)ReadValue(&r, nullptr);
+        }
+        for (uint32_t code = begin; code < end; ++code) {
+          (void)ReadValue(&r, &slots[code - begin]);
+        }
+        std::memcpy(slot_hashes,
+                    hashes.data() + size_t{begin - 1} * sizeof(uint64_t),
+                    size_t{end - begin} * sizeof(uint64_t));
+      });
+  if (duplicate != ValueDict::kNullCode) {
+    return Status::IoError(StrFormat(
+        "catalog value segment stores code %u's value under an earlier code "
+        "too",
+        duplicate));
   }
   return Status::OK();
 }
@@ -1439,64 +1499,88 @@ Result<CatalogOpenReport> OpenCatalogInto(
       MappedFile sketches_seg,
       MappedFile::Open(JoinPath(
           dir, CatalogSegmentFileName(kCatalogSketchesStem, m.base))));
-  LAKEFUZZ_RETURN_IF_ERROR(VerifySegment(values_seg, m.values, "values"));
-  LAKEFUZZ_RETURN_IF_ERROR(VerifySegment(hashes_seg, m.hashes, "hashes"));
-  LAKEFUZZ_RETURN_IF_ERROR(VerifySegment(tables_seg, m.tables, "tables"));
-  LAKEFUZZ_RETURN_IF_ERROR(
-      VerifySegment(sketches_seg, m.sketches, "sketches"));
+  const struct {
+    const MappedFile* file;
+    const CatalogState::Segment* seg;
+    const char* name;
+  } segments[] = {{&values_seg, &m.values, "values"},
+                  {&hashes_seg, &m.hashes, "hashes"},
+                  {&tables_seg, &m.tables, "tables"},
+                  {&sketches_seg, &m.sketches, "sketches"}};
+  Status verified[4];
+  MaybeParallelFor(request.pool, 4, [&](size_t i) {
+    verified[i] =
+        VerifySegment(*segments[i].file, *segments[i].seg, segments[i].name);
+  });
+  for (const Status& st : verified) LAKEFUZZ_RETURN_IF_ERROR(st);
   if (m.hashes.size != m.value_count * sizeof(uint64_t)) {
     return Status::IoError(
         "catalog hash segment size does not match the dictionary count");
   }
-  for (const MappedFile* f :
-       {&values_seg, &hashes_seg, &tables_seg, &sketches_seg}) {
-    if (f->mapped()) report.mapped_bytes += f->size();
+  for (const auto& segment : segments) {
+    if (segment.file->mapped()) report.mapped_bytes += segment.file->size();
   }
+  report.verify_seconds = watch.ElapsedSeconds();
 
-  // Dict replay in file-code order. The persisted hash side table is the
-  // point: values re-enter the session dictionary without a single
-  // re-hash (the hashes are read straight out of the mapping), and the
-  // file→session code remap is identity on a fresh engine. A refreshing
-  // replica whose dict already mirrors the committed prefix of the same
-  // segment base replays only the delta — O(new values), not O(values).
+  // Dictionary, in file-code order, with the persisted hashes: values
+  // re-enter the session dictionary without a single re-hash. An empty
+  // dictionary (fresh engine or replica) is restored in bulk, so file code
+  // i is session code i and no remap is needed. A dictionary that already
+  // holds values replays them one by one through the remap — except a
+  // refreshing replica whose dictionary mirrors the committed prefix of the
+  // same segment base, which replays only the delta: O(new values).
   LAKEFUZZ_FAULT_POINT("catalog/read");
   const bool delta_replay =
       refresh && state->valid() && state->dir == dir &&
       state->base == m.base && state->codes_identical &&
       m.value_count >= state->values_persisted &&
       dict->NumDistinct() == state->values_persisted;
-  std::vector<uint32_t> remap(static_cast<size_t>(m.value_count) + 1, 0);
+  std::vector<uint32_t> remap;
   bool identical = true;
   uint64_t first = 1;
-  uint64_t values_off = 0;
-  if (delta_replay) {
-    for (uint64_t i = 1; i <= state->values_persisted; ++i) {
-      remap[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-    }
-    first = state->values_persisted + 1;
-    values_off = state->values.size;
+  bool restored = false;
+  if (!delta_replay && dict->NumDistinct() == 0) {
+    ValueDict bulk;
+    LAKEFUZZ_RETURN_IF_ERROR(RestoreDictionary(values_seg, hashes_seg, m,
+                                               request.pool, &bulk));
+    // False only when a concurrent request interned a value meanwhile; the
+    // replay below then merges the catalog's values into its codes.
+    restored = dict->AdoptRestored(std::move(bulk));
   }
-  ByteReader vr(values_seg.data() + values_off,
-                static_cast<size_t>(m.values.size - values_off));
-  for (uint64_t i = first; i <= m.value_count; ++i) {
-    Value v;
-    LAKEFUZZ_RETURN_IF_ERROR(ReadValue(&vr, &v));
-    uint64_t hash;
-    std::memcpy(&hash, hashes_seg.data() + (i - 1) * sizeof(uint64_t),
-                sizeof(hash));
-    const uint32_t code = dict->RestoreValue(std::move(v), hash);
-    remap[static_cast<size_t>(i)] = code;
-    identical = identical && code == i;
+  if (!restored) {
+    remap.assign(static_cast<size_t>(m.value_count) + 1, 0);
+    uint64_t values_off = 0;
+    if (delta_replay) {
+      for (uint64_t i = 1; i <= state->values_persisted; ++i) {
+        remap[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
+      }
+      first = state->values_persisted + 1;
+      values_off = state->values.size;
+    }
+    ByteReader vr(values_seg.data() + values_off,
+                  static_cast<size_t>(m.values.size - values_off));
+    for (uint64_t i = first; i <= m.value_count; ++i) {
+      Value v;
+      LAKEFUZZ_RETURN_IF_ERROR(ReadValue(&vr, &v));
+      uint64_t hash;
+      std::memcpy(&hash, hashes_seg.data() + (i - 1) * sizeof(uint64_t),
+                  sizeof(hash));
+      const uint32_t code = dict->RestoreValue(std::move(v), hash);
+      remap[static_cast<size_t>(i)] = code;
+      identical = identical && code == i;
+    }
   }
   report.values_loaded = m.value_count - (first - 1);
+  report.dict_seconds = watch.ElapsedSeconds() - report.verify_seconds;
 
   // Stage every table that needs (re)loading before committing any: a
   // corrupt block aborts the whole open with the registry untouched.
   // kOpen: live tables win over the persisted snapshot. kRefresh: the
   // catalog wins — unchanged fingerprints keep the live table, changed
-  // ones are staged for replacement.
+  // ones are staged for replacement. Tables parse in parallel; the first
+  // error in manifest order is the one reported.
+  std::vector<const ManifestEntry*> to_stage;
   std::vector<StagedTable> staged;
-  staged.reserve(m.entries.size());
   std::set<std::string> manifest_names;
   for (const ManifestEntry& e : m.entries) {
     manifest_names.insert(e.name);
@@ -1514,14 +1598,20 @@ Result<CatalogOpenReport> OpenCatalogInto(
       }
     }
     LAKEFUZZ_FAULT_POINT("catalog/read");
-    StagedTable st;
-    st.replaces_live = live;
-    LAKEFUZZ_RETURN_IF_ERROR(ParseTableBlock(tables_seg, e, m.value_count,
-                                             remap, dict->dict(), &st));
-    LAKEFUZZ_RETURN_IF_ERROR(
-        ParseSketchBlock(sketches_seg, e, discovery_options, &st));
-    staged.push_back(std::move(st));
+    to_stage.push_back(&e);
+    staged.emplace_back().replaces_live = live;
   }
+  std::vector<Status> stage_status(to_stage.size());
+  MaybeParallelFor(request.pool, to_stage.size(), [&](size_t i) {
+    Status st = ParseTableBlock(tables_seg, *to_stage[i], m.value_count,
+                                remap, dict->dict(), &staged[i]);
+    if (st.ok()) {
+      st = ParseSketchBlock(sketches_seg, *to_stage[i], discovery_options,
+                            &staged[i]);
+    }
+    stage_status[i] = std::move(st);
+  });
+  for (const Status& st : stage_status) LAKEFUZZ_RETURN_IF_ERROR(st);
   // Refresh: live tables the new manifest no longer lists are dropped at
   // commit — the replica must mirror the generation, not accrete history.
   std::vector<std::string> vanished;
@@ -1532,6 +1622,8 @@ Result<CatalogOpenReport> OpenCatalogInto(
       }
     }
   }
+  report.stage_seconds =
+      watch.ElapsedSeconds() - report.verify_seconds - report.dict_seconds;
 
   // Commit: replace/register, seed the column-code memo, and insert the
   // pre-built sketches + band keys — zero columns re-sketched for an
@@ -1573,6 +1665,8 @@ Result<CatalogOpenReport> OpenCatalogInto(
   if (request.pin_path != nullptr) *request.pin_path = pin_path;
   pin_guard.Release();
   report.seconds = watch.ElapsedSeconds();
+  report.commit_seconds = report.seconds - report.verify_seconds -
+                          report.dict_seconds - report.stage_seconds;
   return report;
 }
 

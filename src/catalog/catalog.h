@@ -36,8 +36,9 @@
 // whose pid is dead are swept). CURRENT itself is replaced by rename on
 // every commit and flock binds to the inode, hence the stable sibling lock.
 //
-// A reopened engine replays the dict with the persisted hashes (no value
-// re-hashing), seeds the per-column code memo, and inserts pre-built
+// A reopened engine restores the dict with the persisted hashes (no value
+// re-hashing; in bulk on the engine pool when the dict is empty), stages
+// tables in parallel, seeds the per-column code memo, and inserts pre-built
 // sketches — re-sketching 0 columns for an unchanged lake. Corruption never
 // crashes: a truncated, bit-flipped, or version-skewed file fails
 // OpenCatalogInto with a typed kIoError / kInvalidArgument before any
@@ -59,6 +60,8 @@
 #include "util/result.h"
 
 namespace lakefuzz {
+
+class ThreadPool;
 
 // ------------------------------------------------------------- file format
 // Public so tests can craft precise corruption (bad magic with a fixed-up
@@ -147,6 +150,13 @@ struct CatalogOpenReport {
   /// Bytes of segment data served via mmap during the load.
   uint64_t mapped_bytes = 0;
   double seconds = 0.0;
+  /// Wall time per open phase (they sum to about `seconds`): manifest read,
+  /// mapping and segment checksums; dictionary restore; table + sketch
+  /// staging; registry / memo / discovery commit.
+  double verify_seconds = 0.0;
+  double dict_seconds = 0.0;
+  double stage_seconds = 0.0;
+  double commit_seconds = 0.0;
 };
 
 /// One SaveCatalog outcome.
@@ -213,6 +223,9 @@ struct CatalogOpenRequest {
   /// away) and its path is returned here. The caller owns the pin: remove
   /// the file to release the generation. Replica fencing uses this.
   std::string* pin_path = nullptr;
+  /// The engine's worker pool: segment checksums, the dictionary restore
+  /// and table staging run on it. Null runs the same steps inline.
+  ThreadPool* pool = nullptr;
 };
 
 /// The committed generation at `dir` (reads CURRENT under a shared lock).
@@ -225,12 +238,15 @@ Result<uint64_t> CatalogCurrentGeneration(const std::string& dir);
 /// discovery params, per-segment checksums, block bounds) and parsed into
 /// staging buffers BEFORE any table is registered, so a corrupt catalog
 /// returns its typed error with the registry, memo, and discovery index
-/// untouched (the dictionary may have interned the catalog's values —
-/// harmless, it only grows). On success `state` records the directory and
-/// generation for incremental saves / refreshes. `discovery_options` must
-/// match the persisted sketch parameters (signature size, banding, seed) or
-/// the open fails with kInvalidArgument — signatures from a different
-/// family are garbage.
+/// untouched. An empty session dictionary (a fresh engine or replica) is
+/// restored in bulk and stays empty when the values segment is corrupt,
+/// including a value stored twice (kIoError). A dictionary that already
+/// holds values replays the catalog's values one by one and may keep them
+/// after a later failure — harmless, it only grows. On success `state`
+/// records the directory and generation for incremental saves / refreshes.
+/// `discovery_options` must match the persisted sketch parameters
+/// (signature size, banding, seed) or the open fails with kInvalidArgument
+/// — signatures from a different family are garbage.
 Result<CatalogOpenReport> OpenCatalogInto(const std::string& dir,
                                           TableRegistry* registry,
                                           SessionDict* dict,

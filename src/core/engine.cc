@@ -35,6 +35,11 @@ uint64_t SecondsToNs(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e9);
 }
 
+/// Seconds → whole microseconds, for span attributes.
+int64_t SecondsToUs(double seconds) {
+  return static_cast<int64_t>(SecondsToNs(seconds) / 1000);
+}
+
 /// Every mutating entry point on a replica fails the same way.
 Status ReplicaForbidden(const char* op) {
   return Status::FailedPrecondition(StrFormat(
@@ -123,6 +128,11 @@ LakeEngine::LakeEngine(EngineOptions options,
     em->fd_ns = registry->GetHistogram(
         "lakefuzz_stage_fd_latency_ns",
         "full-disjunction stage wall time (build+enumerate+subsume+decode)");
+    em->catalog_open_ns = registry->GetHistogram(
+        "lakefuzz_catalog_open_latency_ns",
+        "catalog open / replica refresh wall time (loads only)");
+    em->catalog_save_ns = registry->GetHistogram(
+        "lakefuzz_catalog_save_latency_ns", "catalog checkpoint wall time");
     return em->requests_total != nullptr && em->requests_failed != nullptr &&
            em->requests_truncated != nullptr &&
            em->fd_search_nodes != nullptr &&
@@ -132,7 +142,8 @@ LakeEngine::LakeEngine(EngineOptions options,
            em->values_rewritten != nullptr &&
            em->discovery_queries != nullptr && em->request_ns != nullptr &&
            em->align_ns != nullptr && em->match_ns != nullptr &&
-           em->rewrite_ns != nullptr && em->fd_ns != nullptr;
+           em->rewrite_ns != nullptr && em->fd_ns != nullptr &&
+           em->catalog_open_ns != nullptr && em->catalog_save_ns != nullptr;
   };
   metrics_ = options_.metrics;
   if (metrics_ == nullptr || !wire(metrics_, &em_)) {
@@ -220,6 +231,7 @@ Result<std::unique_ptr<LakeEngine>> LakeEngine::OpenReplica(
   CatalogOpenRequest request;
   request.mode = CatalogOpenMode::kOpen;
   request.pin_path = &engine->replica_pin_;
+  request.pool = engine->pool_.get();
   Result<CatalogOpenReport> report = OpenCatalogInto(
       dir, &engine->registry_, engine->session_dict_.get(),
       engine->discovery_.get(), engine->options_.discovery,
@@ -238,9 +250,11 @@ Result<CatalogOpenReport> LakeEngine::OpenCatalog(const std::string& dir,
   if (replica_) return ReplicaForbidden("OpenCatalog");
   ScopedSpan span(tracer, "catalog_open");
   std::lock_guard<std::mutex> lock(catalog_mu_);
+  CatalogOpenRequest request;
+  request.pool = pool_.get();
   Result<CatalogOpenReport> report =
       OpenCatalogInto(dir, &registry_, session_dict_.get(), discovery_.get(),
-                      options_.discovery, &catalog_state_);
+                      options_.discovery, &catalog_state_, request);
   ++catalog_stats_.opens;
   if (!report.ok()) {
     ++catalog_stats_.open_failures;
@@ -250,6 +264,10 @@ Result<CatalogOpenReport> LakeEngine::OpenCatalog(const std::string& dir,
   span.AddAttr("tables_loaded", static_cast<int64_t>(report->tables_loaded));
   span.AddAttr("values_loaded", static_cast<int64_t>(report->values_loaded));
   span.AddAttr("generation", static_cast<int64_t>(report->generation));
+  span.AddAttr("verify_us", SecondsToUs(report->verify_seconds));
+  span.AddAttr("dict_us", SecondsToUs(report->dict_seconds));
+  span.AddAttr("stage_us", SecondsToUs(report->stage_seconds));
+  span.AddAttr("commit_us", SecondsToUs(report->commit_seconds));
   AccumulateOpen(*report);
   return report;
 }
@@ -274,6 +292,7 @@ Result<CatalogOpenReport> LakeEngine::RefreshReplica() {
   CatalogOpenRequest request;
   request.mode = CatalogOpenMode::kRefresh;
   request.pin_path = &new_pin;
+  request.pool = pool_.get();
   Result<CatalogOpenReport> report = OpenCatalogInto(
       catalog_state_.dir, &registry_, session_dict_.get(), discovery_.get(),
       options_.discovery, &catalog_state_, request);
@@ -302,6 +321,7 @@ uint64_t LakeEngine::catalog_generation() const {
 }
 
 void LakeEngine::AccumulateOpen(const CatalogOpenReport& report) const {
+  em_.catalog_open_ns->Observe(SecondsToNs(report.seconds));
   catalog_stats_.tables_loaded += report.tables_loaded;
   catalog_stats_.values_loaded += report.values_loaded;
   catalog_stats_.columns_resketched += report.columns_resketched;
@@ -322,6 +342,7 @@ Result<CatalogSaveReport> LakeEngine::SaveCatalog(const std::string& dir,
       options_.discovery, &catalog_state_,
       options_.catalog_retain_generations);
   if (!report.ok()) return report;
+  em_.catalog_save_ns->Observe(SecondsToNs(report->seconds));
   ++catalog_stats_.saves;
   catalog_stats_.tables_written += report->tables_written;
   catalog_stats_.tables_reused += report->tables_reused;

@@ -504,6 +504,8 @@ class LakeEngine {
     Histogram* match_ns = nullptr;
     Histogram* rewrite_ns = nullptr;
     Histogram* fd_ns = nullptr;
+    Histogram* catalog_open_ns = nullptr;
+    Histogram* catalog_save_ns = nullptr;
   };
 
   /// Picks the request id: the caller's, or the engine's next sequential.

@@ -47,6 +47,13 @@ uint32_t SessionDict::RestoreValue(Value v, uint64_t hash) {
   return code;
 }
 
+bool SessionDict::AdoptRestored(ValueDict&& restored) {
+  const size_t count = restored.NumDistinct();
+  if (!dict_.AdoptIfEmpty(std::move(restored))) return false;
+  values_interned_.fetch_add(count, std::memory_order_relaxed);
+  return true;
+}
+
 std::shared_ptr<const std::vector<uint32_t>> SessionDict::ColumnCodes(
     const Table& table, size_t col) {
   column_requests_.fetch_add(1, std::memory_order_relaxed);

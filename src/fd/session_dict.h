@@ -90,6 +90,12 @@ class SessionDict {
   /// the file code when loading into a fresh dictionary.
   uint32_t RestoreValue(Value v, uint64_t hash);
 
+  /// Bulk catalog-load form: takes every entry of `restored` (filled by
+  /// ValueDict::RestoreAll) under its own code when this session has
+  /// interned nothing yet, so file code i stays session code i. Returns
+  /// false, changing nothing, when the dictionary already holds values.
+  bool AdoptRestored(ValueDict&& restored);
+
   /// Unpins `table` and drops its cached column codes. Codes already handed
   /// out stay valid (shared ownership); the dictionary never shrinks.
   void DropTable(const Table* table);

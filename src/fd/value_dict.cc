@@ -1,6 +1,10 @@
 #include "fd/value_dict.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 
@@ -216,6 +220,141 @@ void ValueDict::Reserve(size_t expected) {
     std::lock_guard<std::mutex> lock(sh.mu);
     if (want > sh.slots.size()) RehashShard(sh, want);
   }
+}
+
+uint32_t ValueDict::RestoreAll(uint32_t count, ThreadPool* pool,
+                               const RestoreFill& fill) {
+  if (count == 0) return kNullCode;
+  const uint32_t end = count + 1;
+  // Every storage bucket exists before the parallel fill, and no fill range
+  // crosses a bucket, so each range is one contiguous run of slots.
+  struct Range {
+    uint32_t begin, end;
+  };
+  std::vector<Range> ranges;
+  for (size_t b = 0; b < kMaxBuckets && BucketBase(b) < end; ++b) {
+    EnsureBucket(b);
+    const size_t bucket_end =
+        std::min<size_t>(end, BucketBase(b) + BucketCapacity(b));
+    for (size_t lo = std::max<size_t>(1, BucketBase(b)); lo < bucket_end;
+         lo += kRestoreRange) {
+      ranges.push_back({static_cast<uint32_t>(lo),
+                        static_cast<uint32_t>(std::min<size_t>(
+                            bucket_end, lo + kRestoreRange))});
+    }
+  }
+  // Each range also counts its codes per shard.
+  std::vector<std::array<uint32_t, kShards>> range_counts(ranges.size());
+  MaybeParallelFor(pool, ranges.size(), [&](size_t i) {
+    const size_t b = BucketOf(ranges[i].begin);
+    const size_t off = ranges[i].begin - BucketBase(b);
+    uint64_t* hashes = hash_buckets_[b].load(std::memory_order_relaxed) + off;
+    fill(ranges[i].begin, ranges[i].end,
+         buckets_[b].load(std::memory_order_relaxed) + off, hashes);
+    range_counts[i].fill(0);
+    for (uint32_t k = 0; k < ranges[i].end - ranges[i].begin; ++k) {
+      ++range_counts[i][ShardOf(hashes[k])];
+    }
+  });
+  size_.store(end, std::memory_order_release);
+
+  // Group the codes by shard, keeping ascending code order inside each
+  // shard: range i's codes of shard s go to order[offsets[i][s]...].
+  std::vector<std::array<uint32_t, kShards>> offsets(ranges.size());
+  std::array<uint32_t, kShards + 1> first{};
+  for (size_t s = 0; s < kShards; ++s) {
+    uint32_t next = first[s];
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      offsets[i][s] = next;
+      next += range_counts[i][s];
+    }
+    first[s + 1] = next;
+  }
+  std::vector<uint32_t> order(count);
+  MaybeParallelFor(pool, ranges.size(), [&](size_t i) {
+    std::array<uint32_t, kShards>& next = offsets[i];
+    for (uint32_t code = ranges[i].begin; code < ranges[i].end; ++code) {
+      order[next[ShardOf(HashOf(code))]++] = code;
+    }
+  });
+
+  // Every shard is built at its final size. Slot hashes live in a scratch
+  // array beside the slots, so a probe never chases an occupant's hash
+  // through the storage buckets.
+  std::vector<uint32_t> duplicate(kShards, kNullCode);
+  MaybeParallelFor(pool, kShards, [&](size_t s) {
+    Shard& sh = shards_[s];
+    sh.used = first[s + 1] - first[s];
+    size_t slots = kInitialSlots;
+    while (slots * 7 <= sh.used * 10) slots <<= 1;  // InternHashed's load cap
+    sh.slots.assign(slots, kNullCode);
+    std::vector<uint64_t> slot_hashes(slots);
+    const size_t mask = slots - 1;
+    for (uint32_t i = first[s]; i < first[s + 1]; ++i) {
+      const uint32_t code = order[i];
+      const uint64_t hash = HashOf(code);
+      size_t p = static_cast<size_t>(hash) & mask;
+      while (sh.slots[p] != kNullCode) {
+        if (slot_hashes[p] == hash && Decode(sh.slots[p]) == Decode(code)) {
+          duplicate[s] = code;  // the shard's smallest repeat: codes ascend
+          return;
+        }
+        p = (p + 1) & mask;
+      }
+      sh.slots[p] = code;
+      slot_hashes[p] = hash;
+    }
+  });
+  uint32_t smallest = kNullCode;
+  for (uint32_t code : duplicate) {
+    if (code != kNullCode && (smallest == kNullCode || code < smallest)) {
+      smallest = code;
+    }
+  }
+  return smallest;
+}
+
+bool ValueDict::AdoptIfEmpty(ValueDict&& restored) {
+  // Holding every shard lock blocks Intern and Find, and with them every
+  // bucket allocation (Append runs under a shard lock).
+  std::unique_lock<std::mutex> locks[kShards];
+  for (size_t s = 0; s < kShards; ++s) {
+    locks[s] = std::unique_lock<std::mutex>(shards_[s].mu);
+  }
+  if (size_.load(std::memory_order_relaxed) != 1) return false;
+  const uint32_t n = restored.size_.load(std::memory_order_relaxed);
+  // Bucket 0 stays in place — a caller may hold Decode(kNullCode) — and
+  // takes over the restored non-null slots. No later bucket exists yet (no
+  // code was ever appended), so those swap in whole.
+  Value* values = buckets_[0].load(std::memory_order_relaxed);
+  uint64_t* hashes = hash_buckets_[0].load(std::memory_order_relaxed);
+  Value* restored_values = restored.buckets_[0].load(std::memory_order_relaxed);
+  const uint64_t* restored_hashes =
+      restored.hash_buckets_[0].load(std::memory_order_relaxed);
+  const uint32_t in_first =
+      std::min<uint32_t>(n, static_cast<uint32_t>(BucketCapacity(0)));
+  for (uint32_t code = 1; code < in_first; ++code) {
+    values[code] = std::move(restored_values[code]);
+    hashes[code] = restored_hashes[code];
+  }
+  for (size_t b = 1; b < kMaxBuckets; ++b) {
+    Value* mine = buckets_[b].load(std::memory_order_relaxed);
+    uint64_t* mine_hashes = hash_buckets_[b].load(std::memory_order_relaxed);
+    hash_buckets_[b].store(
+        restored.hash_buckets_[b].load(std::memory_order_relaxed),
+        std::memory_order_release);
+    buckets_[b].store(restored.buckets_[b].load(std::memory_order_relaxed),
+                      std::memory_order_release);
+    restored.buckets_[b].store(mine, std::memory_order_relaxed);
+    restored.hash_buckets_[b].store(mine_hashes, std::memory_order_relaxed);
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    std::swap(shards_[s].slots, restored.shards_[s].slots);
+    std::swap(shards_[s].used, restored.shards_[s].used);
+  }
+  size_.store(n, std::memory_order_release);
+  restored.size_.store(1, std::memory_order_relaxed);
+  return true;
 }
 
 void ValueDict::RehashShard(Shard& shard, size_t new_slot_count) const {

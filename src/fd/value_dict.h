@@ -11,12 +11,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
 #include "table/value.h"
 
 namespace lakefuzz {
+
+class ThreadPool;
 
 /// Interns distinct non-null Values into uint32 codes. Code 0 is reserved
 /// for null; non-null values get 1, 2, ... in first-intern order, so a fixed
@@ -104,6 +107,28 @@ class ValueDict {
   /// Pre-sizes the hash shards for `expected` distinct non-null values.
   void Reserve(size_t expected);
 
+  /// Writes the value and content hash of every code in [begin, end) to
+  /// values[code - begin] and hashes[code - begin].
+  using RestoreFill = std::function<void(uint32_t begin, uint32_t end,
+                                         Value* values, uint64_t* hashes)>;
+
+  /// Bulk load of a dictionary that is empty and not yet visible to any
+  /// other thread: codes 1..count are stored in one pass instead of `count`
+  /// interns. `fill` writes each code's value straight into its storage
+  /// slot; it runs concurrently for disjoint ranges on `pool` (inline when
+  /// null). The hash index is then built shard by shard, each shard sized
+  /// once for the codes it holds. Returns kNullCode, or the smallest code
+  /// whose value equals a lower code's — the dictionary is then invalid
+  /// and must be discarded. `count` must be below UINT32_MAX.
+  uint32_t RestoreAll(uint32_t count, ThreadPool* pool,
+                      const RestoreFill& fill);
+
+  /// Moves every entry of `restored` into this dictionary when it holds no
+  /// values yet, keeping their codes. Safe against concurrent Intern /
+  /// Find / Decode. Returns false, changing nothing, when this dictionary
+  /// already holds values.
+  bool AdoptIfEmpty(ValueDict&& restored);
+
  private:
   // Bucket 0 holds 2^kBaseBits slots; bucket b holds 2^(kBaseBits+b). 22
   // buckets cover the full uint32 code space.
@@ -114,6 +139,9 @@ class ValueDict {
   // low bits, so the two choices stay independent.
   static constexpr size_t kShards = 16;
   static constexpr size_t kInitialSlots = 16;  // per shard, power of two
+  // Codes per RestoreAll fill call: small enough to balance across pool
+  // lanes, large enough that the per-call cost vanishes.
+  static constexpr uint32_t kRestoreRange = 4096;
 
   struct Shard {
     mutable std::mutex mu;

@@ -77,6 +77,26 @@ Result<Table> Table::FromRows(std::string name,
   return t;
 }
 
+Result<Table> Table::FromColumns(std::string name, Schema schema,
+                                 std::vector<std::vector<Value>> columns,
+                                 size_t num_rows) {
+  if (columns.size() != schema.NumFields()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu columns given, schema has %zu fields", columns.size(),
+                  schema.NumFields()));
+  }
+  for (const auto& col : columns) {
+    if (col.size() != num_rows) {
+      return Status::InvalidArgument(StrFormat(
+          "column has %zu values, table has %zu rows", col.size(), num_rows));
+    }
+  }
+  Table t(std::move(name), std::move(schema));
+  t.columns_ = std::move(columns);
+  t.num_rows_ = num_rows;
+  return t;
+}
+
 Table Table::SelectRows(const std::vector<size_t>& row_indices) const {
   Table out(name_, schema_);
   for (size_t r : row_indices) {

@@ -54,6 +54,13 @@ class Table {
                                 std::vector<std::string> column_names,
                                 std::vector<std::vector<Value>> rows);
 
+  /// Builds a table of `num_rows` rows from whole columns, one per schema
+  /// field, each holding `num_rows` values — no per-row copy and no column
+  /// growth.
+  static Result<Table> FromColumns(std::string name, Schema schema,
+                                   std::vector<std::vector<Value>> columns,
+                                   size_t num_rows);
+
   /// Returns a copy restricted to `row_indices` (in the given order).
   Table SelectRows(const std::vector<size_t>& row_indices) const;
 

@@ -6,6 +6,7 @@
 // tables, and incremental checkpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -246,6 +247,146 @@ TEST(CatalogRoundTripTest, LiveTablesWinOverCatalog) {
   auto reloaded = fresh->Integrate({"cities"});
   ASSERT_TRUE(reloaded.ok());
   ExpectTablesIdentical(live->integrated, reloaded->integrated);
+}
+
+// ------------------------------------------------- thread-count invariance
+
+/// The dictionary must hold exactly `want`'s codes: same value and content
+/// hash under every code.
+void ExpectSameDictionary(const LakeEngine& got, const LakeEngine& want) {
+  const ValueDict& a = got.session_dict().dict();
+  const ValueDict& b = want.session_dict().dict();
+  ASSERT_EQ(a.NumDistinct(), b.NumDistinct());
+  for (uint32_t code = 1; code <= b.NumDistinct(); ++code) {
+    ASSERT_TRUE(a.Decode(code) == b.Decode(code)) << "code " << code;
+    ASSERT_EQ(a.HashOf(code), b.HashOf(code)) << "code " << code;
+  }
+}
+
+/// Same tables with the same cells, same top-k for `probe`.
+void ExpectSameLake(LakeEngine* got, LakeEngine* want,
+                    const std::string& probe) {
+  std::vector<std::string> names = want->TableNames();
+  std::vector<std::string> got_names = got->TableNames();
+  std::sort(names.begin(), names.end());
+  std::sort(got_names.begin(), got_names.end());
+  ASSERT_EQ(got_names, names);
+  RequestOptions req;
+  req.holistic_alignment = false;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    auto a = got->Integrate({name}, req);
+    auto b = want->Integrate({name}, req);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectTablesIdentical(a->integrated, b->integrated);
+  }
+  auto got_top = got->DiscoverUnionable(probe, 4);
+  auto want_top = want->DiscoverUnionable(probe, 4);
+  ASSERT_TRUE(got_top.ok() && want_top.ok());
+  ExpectSameCandidates(*got_top, *want_top);
+}
+
+/// A private copy of a catalog directory, so each engine can checkpoint
+/// into its own without invalidating the others' state.
+std::string CopyCatalog(const std::string& from, const std::string& tag) {
+  const std::string to = FreshDir(tag);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+  return to;
+}
+
+/// The parallel warm open (checksums, bulk dictionary restore, table
+/// staging on the engine pool) must not depend on the pool size: every
+/// thread count, and a replica through open and refresh, yields the
+/// writer's codes, cells and top-k, and a following checkpoint is
+/// incremental and writes the same manifest bytes.
+TEST(CatalogThreadInvarianceTest, WarmOpenIsIdenticalAtEveryThreadCount) {
+  const std::string dir = FreshDir("invariance");
+  LakeOptions opts;
+  opts.num_tables = 24;
+  opts.num_groups = 4;
+  opts.group_size = 3;
+  opts.rows_per_table = 60;
+  opts.columns_per_table = 6;
+  auto lake = GenerateLake(opts);
+  const std::string probe = lake.groups[0][0];
+  auto writer = MakeEngine(1);
+  for (const Table& t : lake.tables) {
+    ASSERT_TRUE(writer->RegisterTable(t.name(), t).ok());
+  }
+  ASSERT_TRUE(writer->SaveCatalog(dir).ok());
+  const size_t value_count = writer->session_dict().NumDistinct();
+  // Several dictionary storage buckets and restore ranges are in play.
+  ASSERT_GT(value_count, 4096u);
+
+  std::string manifest_t1;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string copy =
+        CopyCatalog(dir, "invariance_t" + std::to_string(threads));
+    auto reader = MakeEngine(threads);
+    auto opened = reader->OpenCatalog(copy);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->values_loaded, value_count);
+    EXPECT_EQ(reader->session_dict().stats().values_interned, value_count);
+    EXPECT_EQ(opened->tables_loaded, lake.tables.size());
+    ExpectSameDictionary(*reader, *writer);
+    ExpectSameLake(reader.get(), writer.get(), probe);
+
+    auto saved = reader->SaveCatalog(copy);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    EXPECT_TRUE(saved->incremental);
+    EXPECT_EQ(saved->tables_reused, lake.tables.size());
+    EXPECT_EQ(saved->tables_written, 0u);
+    const std::string manifest = ReadAll(ManifestPath(copy, 2));
+    if (threads == 1) manifest_t1 = manifest;
+    EXPECT_EQ(manifest, manifest_t1);
+  }
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("replica threads=" + std::to_string(threads));
+    const std::string copy =
+        CopyCatalog(dir, "invariance_replica_t" + std::to_string(threads));
+    auto replica = LakeEngine::OpenReplica(
+        copy, EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    EXPECT_EQ((*replica)->catalog_stats().values_loaded, value_count);
+    EXPECT_EQ((*replica)->session_dict().stats().values_interned,
+              value_count);
+    ExpectSameDictionary(**replica, *writer);
+    ExpectSameLake(replica->get(), writer.get(), probe);
+
+    // A writer on the same copy replaces one table with new values; the
+    // refresh replays only the new values and must land on its codes.
+    auto next_writer = MakeEngine(threads);
+    ASSERT_TRUE(next_writer->OpenCatalog(copy).ok());
+    const Table& old = lake.tables[1];
+    std::vector<std::vector<Value>> rows;
+    for (size_t r = 0; r < old.NumRows(); ++r) {
+      std::vector<Value> row = old.Row(r);
+      row[0] = S("replaced_" + std::to_string(r));
+      rows.push_back(std::move(row));
+    }
+    std::vector<std::string> columns;
+    for (size_t c = 0; c < old.NumColumns(); ++c) {
+      columns.push_back(old.schema().field(c).name);
+    }
+    auto replacement = Table::FromRows(old.name(), columns, std::move(rows));
+    ASSERT_TRUE(replacement.ok());
+    ASSERT_TRUE(next_writer->Unregister(old.name()).ok());
+    ASSERT_TRUE(next_writer
+                    ->RegisterTable(old.name(), std::move(replacement).value())
+                    .ok());
+    auto saved = next_writer->SaveCatalog(copy);
+    ASSERT_TRUE(saved.ok() && saved->incremental);
+
+    auto refreshed = (*replica)->RefreshReplica();
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    EXPECT_EQ(refreshed->tables_replaced, 1u);
+    EXPECT_EQ(refreshed->values_loaded,
+              next_writer->session_dict().NumDistinct() - value_count);
+    ExpectSameDictionary(**replica, *next_writer);
+    ExpectSameLake(replica->get(), next_writer.get(), probe);
+  }
 }
 
 // ------------------------------------------------------- incremental saves
@@ -592,6 +733,162 @@ TEST(CatalogCorruptionTest, DiscoveryParamMismatchIsInvalidArgument) {
   ASSERT_TRUE(reader.ok());
   auto opened = (*reader)->OpenCatalog(dir);
   EXPECT_EQ(opened.code(), ErrorCode::kInvalidArgument);
+}
+
+/// Byte offset of a segment's {size, checksum} pair in the manifest: magic,
+/// format version, endianness probe, then seven u64 header fields (
+/// generation, base, signature size, bands, rows per band, seed, value
+/// count) precede the four segment pairs.
+size_t ManifestSegmentOffset(size_t segment_index) {
+  return sizeof(kCatalogMagic) + 2 * sizeof(uint32_t) +
+         7 * sizeof(uint64_t) + segment_index * 2 * sizeof(uint64_t);
+}
+
+/// Writes segment `index` (0 = values, 1 = hashes) and records its new
+/// size and checksum in the manifest, so the corruption passes every
+/// integrity check and only the content checks can catch it.
+void WriteSegmentWithValidChecksum(const std::string& dir, size_t index,
+                                   const std::string& bytes) {
+  const char* stem = index == 0 ? kCatalogValuesStem : kCatalogHashesStem;
+  WriteAll(SegmentPath(dir, stem), bytes);
+  std::string manifest = ReadAll(ManifestPath(dir));
+  const uint64_t size = bytes.size();
+  const uint64_t sum = Fnv1a64(bytes.data(), bytes.size());
+  std::memcpy(&manifest[ManifestSegmentOffset(index)], &size, sizeof(size));
+  std::memcpy(&manifest[ManifestSegmentOffset(index) + sizeof(size)], &sum,
+              sizeof(sum));
+  FixupManifestChecksum(&manifest);
+  WriteAll(ManifestPath(dir), manifest);
+}
+
+/// One record of the values segment: where it starts, its size in bytes,
+/// and its type tag.
+struct ValueRecord {
+  size_t offset = 0;
+  size_t size = 0;
+  uint8_t tag = 0;
+};
+
+std::vector<ValueRecord> ValueRecords(const std::string& bytes) {
+  std::vector<ValueRecord> records;
+  size_t off = 0;
+  while (off < bytes.size()) {
+    ValueRecord rec;
+    rec.offset = off;
+    rec.tag = static_cast<uint8_t>(bytes[off]);
+    size_t payload = 0;
+    switch (static_cast<ValueType>(rec.tag)) {
+      case ValueType::kString: {
+        uint32_t n = 0;
+        std::memcpy(&n, &bytes[off + 1], sizeof(n));
+        payload = sizeof(n) + n;
+        break;
+      }
+      case ValueType::kInt64:
+      case ValueType::kDouble:
+        payload = sizeof(uint64_t);
+        break;
+      default:
+        payload = 1;
+        break;
+    }
+    rec.size = 1 + payload;
+    records.push_back(rec);
+    off += rec.size;
+  }
+  return records;
+}
+
+/// Corruption that the segment checksums cannot see (the checksums were
+/// recomputed over the corrupt bytes) must still fail the fresh-engine
+/// bulk dictionary restore with kIoError, leave the registry and discovery
+/// untouched, and roll the dictionary back to empty, so a cold rebuild in
+/// that engine matches a fresh engine exactly.
+TEST(CatalogCorruptionTest, CorruptValuesBehindValidChecksumsAreIoError) {
+  const std::string dir = FreshDir("bulkcorrupt");
+  ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());
+  const std::string manifest = ReadAll(ManifestPath(dir));
+  const std::string values = ReadAll(SegmentPath(dir, kCatalogValuesStem));
+  const std::string hashes = ReadAll(SegmentPath(dir, kCatalogHashesStem));
+  const std::vector<ValueRecord> records = ValueRecords(values);
+  // Two string records of equal size, so one can overwrite the other in
+  // place.
+  size_t first = records.size(), second = records.size();
+  for (size_t i = 0; i < records.size() && second == records.size(); ++i) {
+    for (size_t j = i + 1; j < records.size(); ++j) {
+      if (records[i].tag == static_cast<uint8_t>(ValueType::kString) &&
+          records[j].tag == records[i].tag &&
+          records[j].size == records[i].size) {
+        first = i;
+        second = j;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(second, records.size());
+
+  struct Case {
+    const char* what;
+    std::string values, hashes;
+    const char* error;  ///< expected in the status message
+  };
+  std::vector<Case> cases;
+  {
+    std::string bad = values;
+    bad[0] = static_cast<char>(0x7F);  // no ValueType has this tag
+    cases.push_back({"unknown type tag", bad, hashes, "unknown type tag"});
+  }
+  {
+    std::string bad = values;
+    const uint32_t overrun = 0x7FFFFFFF;
+    std::memcpy(&bad[records[first].offset + 1], &overrun, sizeof(overrun));
+    cases.push_back(
+        {"string length overruns the segment", bad, hashes, "truncated"});
+  }
+  {
+    // Code second+1 repeats code first+1's value, under its content hash.
+    std::string bad = values;
+    bad.replace(records[second].offset, records[second].size, values,
+                records[first].offset, records[first].size);
+    std::string bad_hashes = hashes;
+    bad_hashes.replace(second * sizeof(uint64_t), sizeof(uint64_t), hashes,
+                       first * sizeof(uint64_t), sizeof(uint64_t));
+    cases.push_back(
+        {"duplicate value", bad, bad_hashes, "under an earlier code"});
+  }
+
+  for (const Case& c : cases) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(std::string(c.what) +
+                   ", threads=" + std::to_string(threads));
+      WriteSegmentWithValidChecksum(dir, 0, c.values);
+      WriteSegmentWithValidChecksum(dir, 1, c.hashes);
+      auto engine = MakeEngine(threads);
+      auto opened = engine->OpenCatalog(dir);
+      EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+      EXPECT_NE(opened.status().message().find(c.error), std::string::npos)
+          << opened.status().ToString();
+      EXPECT_EQ(engine->NumTables(), 0u);
+      EXPECT_EQ(engine->discovery_index().num_tables(), 0u);
+      EXPECT_EQ(engine->session_dict().NumDistinct(), 0u);
+      EXPECT_EQ(engine->session_dict().stats().values_interned, 0u);
+
+      auto fresh = MakeEngineWithSmallLake(threads);
+      for (auto& t : SmallLake()) {
+        ASSERT_TRUE(engine->RegisterTable(t.name(), t).ok());
+      }
+      // Pooled registration interns columns concurrently, so code numbers
+      // are schedule-dependent there; the serial engine must match exactly.
+      EXPECT_EQ(engine->session_dict().NumDistinct(),
+                fresh->session_dict().NumDistinct());
+      if (threads == 1) ExpectSameDictionary(*engine, *fresh);
+      ExpectSameLake(engine.get(), fresh.get(), "cities");
+    }
+  }
+  WriteAll(SegmentPath(dir, kCatalogValuesStem), values);
+  WriteAll(SegmentPath(dir, kCatalogHashesStem), hashes);
+  WriteAll(ManifestPath(dir), manifest);
+  EXPECT_TRUE(MakeEngine(2)->OpenCatalog(dir).ok());
 }
 
 // ---------------------------------------------------------- golden hashes

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <functional>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "core/fuzzy_fd.h"
 #include "datagen/corruption.h"
@@ -66,6 +70,116 @@ TEST(ValueDictTest, SurvivesRehashGrowth) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(dict.Intern(Value::Int(i)), codes[i]);
     EXPECT_EQ(dict.Decode(codes[i]), Value::Int(i));
+  }
+}
+
+/// Value i of a synthetic dictionary: mixed types, every one distinct.
+Value NthValue(uint32_t i) {
+  switch (i % 3) {
+    case 0:
+      return Value::Int(i);
+    case 1:
+      return Value::String("v" + std::to_string(i));
+    default:
+      return Value::Double(i + 0.5);
+  }
+}
+
+/// Restores codes 1..count of `dict`, value(code) = NthValue(code - 1)
+/// unless `value_of` says otherwise.
+uint32_t RestoreNth(ValueDict* dict, uint32_t count, ThreadPool* pool,
+                    const std::function<Value(uint32_t)>& value_of =
+                        [](uint32_t code) { return NthValue(code - 1); }) {
+  return dict->RestoreAll(
+      count, pool,
+      [&](uint32_t begin, uint32_t end, Value* values, uint64_t* hashes) {
+        for (uint32_t code = begin; code < end; ++code) {
+          values[code - begin] = value_of(code);
+          hashes[code - begin] = values[code - begin].Hash();
+        }
+      });
+}
+
+TEST(ValueDictTest, RestoreAllMatchesInterningAtAnyPoolSize) {
+  // Spans several storage buckets and restore ranges.
+  constexpr uint32_t kCount = 20000;
+  ValueDict interned;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(interned.Intern(NthValue(i)), i + 1);
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ValueDict restored;
+    EXPECT_EQ(RestoreNth(&restored, kCount, p), ValueDict::kNullCode);
+    ASSERT_EQ(restored.NumDistinct(), kCount);
+    for (uint32_t code = 1; code <= kCount; ++code) {
+      ASSERT_EQ(restored.Decode(code), interned.Decode(code));
+      ASSERT_EQ(restored.HashOf(code), interned.HashOf(code));
+      ASSERT_EQ(restored.Find(restored.Decode(code)), code);
+    }
+    // Interning goes on past the restored codes and finds restored values.
+    EXPECT_EQ(restored.Intern(NthValue(7)), 8u);
+    EXPECT_EQ(restored.Intern(S("fresh")), kCount + 1);
+  }
+}
+
+TEST(ValueDictTest, RestoreAllReportsTheSmallestRepeatedCode) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ValueDict restored;
+    // Codes 3000 and 1500 repeat code 10's value.
+    EXPECT_EQ(RestoreNth(&restored, 5000, p,
+                         [](uint32_t code) {
+                           return NthValue(code == 1500 || code == 3000
+                                               ? 9
+                                               : code - 1);
+                         }),
+              1500u);
+  }
+}
+
+TEST(ValueDictTest, AdoptIfEmptyKeepsCodesAndRefusesANonEmptyDictionary) {
+  ValueDict restored;
+  ASSERT_EQ(RestoreNth(&restored, 5000, nullptr), ValueDict::kNullCode);
+  ValueDict dict;
+  const Value* null_slot = &dict.Decode(ValueDict::kNullCode);
+  ASSERT_TRUE(dict.AdoptIfEmpty(std::move(restored)));
+  EXPECT_EQ(&dict.Decode(ValueDict::kNullCode), null_slot);
+  ASSERT_EQ(dict.NumDistinct(), 5000u);
+  for (uint32_t code = 1; code <= 5000; ++code) {
+    ASSERT_EQ(dict.Decode(code), NthValue(code - 1));
+    ASSERT_EQ(dict.Find(NthValue(code - 1)), code);
+  }
+  ValueDict more;
+  ASSERT_EQ(RestoreNth(&more, 3, nullptr), ValueDict::kNullCode);
+  EXPECT_FALSE(dict.AdoptIfEmpty(std::move(more)));
+  EXPECT_EQ(dict.NumDistinct(), 5000u);
+}
+
+/// Interning threads race an adoption of the same values: whichever side
+/// wins, every value ends up under exactly one code.
+TEST(ValueDictTest, AdoptIfEmptyRacingInternsNeverDuplicatesAValue) {
+  constexpr uint32_t kCount = 2000;
+  for (int round = 0; round < 20; ++round) {
+    ValueDict dict;
+    ValueDict restored;
+    ASSERT_EQ(RestoreNth(&restored, kCount, nullptr), ValueDict::kNullCode);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> interners;
+    for (uint32_t t = 0; t < 3; ++t) {
+      interners.emplace_back([&, t] {
+        while (!go.load()) {
+        }
+        for (uint32_t i = t; i < kCount; i += 3) dict.Intern(NthValue(i));
+      });
+    }
+    go.store(true);
+    dict.AdoptIfEmpty(std::move(restored));
+    for (std::thread& th : interners) th.join();
+    ASSERT_EQ(dict.NumDistinct(), kCount) << "round " << round;
+    for (uint32_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(dict.Decode(dict.Find(NthValue(i))), NthValue(i));
+    }
   }
 }
 

@@ -176,6 +176,26 @@ TEST(TableTest, FromRowsPropagatesArityError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(TableTest, FromColumnsBuildsAndChecksShape) {
+  auto t = Table::FromColumns(
+      "x", Schema::FromNames({"a", "b"}),
+      {{Value::Int(1), Value::Int(2)}, {Value::String("p"), Value::Null()}},
+      2);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->NumRows(), 2u);
+  EXPECT_EQ(t->At(1, 0), Value::Int(2));
+  EXPECT_TRUE(t->At(1, 1).is_null());
+  // A table without columns still has its rows.
+  auto empty = Table::FromColumns("e", Schema(), {}, 3);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->NumRows(), 3u);
+  EXPECT_FALSE(
+      Table::FromColumns("x", Schema::FromNames({"a", "b"}), {{}}, 0).ok());
+  EXPECT_FALSE(Table::FromColumns("x", Schema::FromNames({"a"}),
+                                  {{Value::Int(1)}}, 2)
+                   .ok());
+}
+
 TEST(TableTest, SelectRowsProjectsInOrder) {
   Table t = MakeCityTable();
   Table s = t.SelectRows({2, 0});
