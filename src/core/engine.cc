@@ -743,11 +743,8 @@ Result<LakeEngine::PreparedRequest> LakeEngine::Prepare(
     eff.pool = pool_.get();
     eff.matcher.pool = pool_.get();
     eff.matcher.num_threads = pool_->num_threads();
-    // parallel_fd is authoritative on pooled engines: it also clears a
-    // caller-supplied fuzzy_fd.parallel, so "force the serial executor"
-    // means what it says.
-    eff.parallel = request.parallel_fd;
-    if (request.parallel_fd) eff.num_threads = pool_->num_threads();
+    eff.parallel = true;
+    eff.num_threads = pool_->num_threads();
   }
   prep.effective = std::move(eff);
   return prep;

@@ -65,9 +65,9 @@ struct EngineOptions {
   /// cache. Built once per engine.
   ModelKind model = ModelKind::kMistral;
   /// Session worker threads: 1 = serial (no pool is created), 0 = hardware
-  /// concurrency, N = exactly N. With a pool, requests run the
-  /// component-parallel FD executor and parallel matcher fills on it;
-  /// results are identical at every setting.
+  /// concurrency, N = exactly N. With a pool, requests run the FD executor
+  /// and parallel matcher fills on it; without one the FD executor runs
+  /// inline. Results are identical at every setting.
   size_t num_threads = 1;
   /// Sizing of the cross-call embedding cache (max_entries 0 = unbounded).
   EmbeddingCacheOptions embedding_cache;
@@ -162,15 +162,12 @@ struct RequestOptions {
   bool include_provenance = false;
   /// Matcher/FD knobs. The engine overwrites the session-owned fields:
   /// matcher.model, matcher.shared_cache, pool/matcher.pool, cancel,
-  /// progress, include_provenance — and, on a pooled engine with
-  /// `parallel_fd` left true, also `parallel`/`num_threads` (both point at
-  /// the session pool). The remaining knobs pass through untouched.
+  /// progress, include_provenance — and, on a pooled engine
+  /// (EngineOptions::num_threads != 1), also `parallel`/`num_threads`, so
+  /// the FD stage runs on the session pool. On a poolless engine the FD
+  /// executor runs inline unless the caller sets `parallel`. The remaining
+  /// knobs pass through untouched.
   FuzzyFdOptions fuzzy_fd;
-  /// On a pooled engine, run the FD stage on the component-parallel
-  /// executor (the default; output is identical to serial). Set false to
-  /// force the serial executor for this request — profiling, bug
-  /// isolation — while matcher fills still use the session pool.
-  bool parallel_fd = true;
   /// Cooperative cancellation (CancelToken::Create(); fire from any
   /// thread). A cancelled request returns ErrorCode::kCancelled.
   CancelToken cancel;

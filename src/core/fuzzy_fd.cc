@@ -28,8 +28,8 @@ struct FdStage {
   std::vector<FdCodeTuple> codes;
   FdStats stats;
   /// Pool the stage ran on, alive for the caller's decode: the session
-  /// pool, a stage-owned one (parallel executor without a session), or
-  /// null in serial mode.
+  /// pool, a stage-owned one (parallel without a session pool), or null
+  /// when the stage ran inline.
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = nullptr;
 };
@@ -73,28 +73,19 @@ Result<FdStage> RunFdStage(const TableList& tables,
     return post_build;
   }
 
+  // One executor; `parallel` only picks its pool: the caller's, else one
+  // owned by the stage (kept alive for the caller's decode), else none.
   std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* stage_pool = pool;
-  if (parallel && stage_pool == nullptr) {
-    // Poolless parallel caller (the legacy executor path): one stage pool
-    // shared by the executor and the caller's decode, so decode stays
-    // parallel as it was before the RunCodes split.
+  if (!parallel) {
+    pool = nullptr;
+  } else if (pool == nullptr) {
     owned_pool = std::make_unique<ThreadPool>(ResolveNumThreads(num_threads));
-    stage_pool = owned_pool.get();
+    pool = owned_pool.get();
   }
   FdStats stats;
-  Result<std::vector<FdCodeTuple>> codes = Status::Internal("unreachable");
-  if (parallel) {
-    ParallelFdOptions popts;
-    popts.fd = fd_options;
-    popts.num_threads = num_threads;
-    popts.pool = stage_pool;
-    codes = ParallelFullDisjunction(popts).RunCodes(&problem, &stats, ctx,
-                                                    progress);
-  } else {
-    codes = FullDisjunction(fd_options).RunCodes(&problem, &stats, ctx,
+  Result<std::vector<FdCodeTuple>> codes =
+      FullDisjunction(fd_options, pool).RunCodes(&problem, &stats, ctx,
                                                  progress);
-  }
   if (!codes.ok()) return codes.status();
   std::vector<FdCodeTuple> code_vec = std::move(codes).value();
 
@@ -122,7 +113,7 @@ Result<FdStage> RunFdStage(const TableList& tables,
     report->truncation.Merge(stats.truncation);
   }
   return FdStage{std::move(problem), std::move(code_vec), stats,
-                 std::move(owned_pool), stage_pool};
+                 std::move(owned_pool), pool};
 }
 
 /// Decodes an FD stage's full code set into an FdResult (the

@@ -20,7 +20,6 @@
 
 #include "core/value_matcher.h"
 #include "fd/full_disjunction.h"
-#include "fd/parallel.h"
 #include "util/request_context.h"
 #include "util/result.h"
 
@@ -31,14 +30,17 @@ class SessionDict;
 struct FuzzyFdOptions {
   ValueMatcherOptions matcher;
   FdOptions fd;
-  /// Use the component-parallel FD executor.
+  /// Run the FD stage (and result decode) on a pool: `pool` when set,
+  /// otherwise one of `num_threads` workers (0 = hardware concurrency)
+  /// owned for the stage. False runs the same executor inline on the
+  /// calling thread. Output is identical either way.
   bool parallel = false;
   size_t num_threads = 0;
   /// Add the "TIDs" provenance column to the output table (Fig. 1 style).
   bool include_provenance = false;
-  /// Externally owned session pool (LakeEngine). Used by the parallel FD
-  /// executor and result decode; also handed to the matcher unless
-  /// `matcher.pool` is already set. Not owned.
+  /// Externally owned session pool (LakeEngine). Used by the FD stage when
+  /// `parallel` is set; also handed to the matcher unless `matcher.pool` is
+  /// already set. Not owned.
   ThreadPool* pool = nullptr;
   /// Session-lived interning dictionary (LakeEngine). When set, the FD
   /// problem is built with FdProblem::BuildInterned — codes scatter straight

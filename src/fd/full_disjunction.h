@@ -28,7 +28,6 @@
 #ifndef LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 #define LAKEFUZZ_FD_FULL_DISJUNCTION_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "fd/fd_tuple.h"
@@ -48,34 +47,12 @@ struct FdOptions {
   /// request-scoped ResourceBudget::max_fd_nodes tightens this per request
   /// and surfaces kResourceExhausted instead.
   uint64_t max_search_nodes = 200'000'000;
-  /// Worker cap for *intra*-component parallelism (parallel executor only):
-  /// a component of at least `intra_component_min_size` tuples has its
-  /// branch-and-exclude tree split into independent subtree tasks — one per
-  /// top-level branch (root tuple + its exclude prefix) — run on the
-  /// executor pool with depth-bounded re-splitting for skew. Output is
-  /// byte-identical at every setting. 0 = all pool workers, 1 = disable
-  /// splitting (components enumerate serially, as before PR 4).
-  size_t intra_component_threads = 0;
-  /// Components smaller than this enumerate serially on one worker (task
-  /// bookkeeping would cost more than it buys).
+  /// On a multi-worker pool, a component of at least this many tuples (and
+  /// a large enough share of all tuples) has its branch-and-exclude tree
+  /// split into independent subtree tasks across every pool worker;
+  /// smaller components enumerate whole on one worker (task bookkeeping
+  /// would cost more than it buys). Output is byte-identical either way.
   size_t intra_component_min_size = 256;
-  /// Subtree tasks re-split while their root depth is below this bound, so
-  /// one dominant branch fans out again instead of serializing a worker.
-  size_t intra_split_depth = 3;
-  /// Adaptive intra-split gate: after a calibration round of tasks, a node
-  /// re-splits only while the observed per-task grain (mean task execution
-  /// time, from the stats of already-finished splits) exceeds this multiple
-  /// of the measured per-task split overhead (include-path replay + queue
-  /// bookkeeping). Small problems therefore stop fanning out once the first
-  /// round proves tasks are overhead-bound, while giant components keep
-  /// splitting deep. 0 restores the static PR 4 gate (queue low-water
-  /// only). Output is byte-identical at every setting.
-  double intra_split_overhead_multiple = 8.0;
-  /// Back each worker's enumeration temporaries (extension sets, flipped-
-  /// column lists) with a per-scratch bump arena instead of heap
-  /// malloc/free per search node. Purely an allocator swap: output is
-  /// byte-identical on or off (tests/fd_intra_test.cc asserts it).
-  bool scratch_arena = true;
 };
 
 /// Aggregated execution profile of the intra-component subtree tasks of one
@@ -145,15 +122,14 @@ struct FdStats {
   /// Intra-component task-grain profile (see FdTaskProfile; all zero when
   /// no component took the split path).
   FdTaskProfile task_profile;
-  /// Pool-level execution deltas over this run (parallel executor only).
+  /// Pool-level execution deltas over this run (zero without a pool).
   /// On a shared session pool these include any concurrent work the pool
   /// ran in the window. busy ≪ workers × wall time with queued work is the
   /// core-starved signature.
   uint64_t pool_tasks = 0;
   double pool_busy_seconds = 0.0;
   double pool_wait_seconds = 0.0;
-  /// Scratch-arena footprint across all worker lanes (0 when
-  /// FdOptions::scratch_arena is off).
+  /// Scratch-arena footprint across all worker lanes.
   size_t arena_bytes_reserved = 0;
   size_t arena_peak_bytes = 0;
   /// Process-wide peak RSS (getrusage high-water mark) sampled when this
@@ -192,18 +168,25 @@ struct FdScratch {
   uint64_t epoch = 0;
   /// Per-worker bump arena for the enumerator's per-node temporaries
   /// (extension sets, flipped-column lists): scope-framed alloc/rewind
-  /// instead of one malloc/free pair per search node. Executors set
-  /// `arena_enabled` from FdOptions::scratch_arena before enumerating;
-  /// off = identical code path on heap allocations.
+  /// instead of one malloc/free pair per search node.
   ArenaAllocator arena;
-  bool arena_enabled = true;
 };
 
-/// Sequential Full Disjunction executor.
+/// The Full Disjunction executor. Join-graph components are independent FD
+/// subproblems (Paganelli et al., Big Data Research 2019, parallelize FD the
+/// same way); they run largest-first, to balance the skewed component-size
+/// distribution of real lakes. On a multi-worker `pool` the giant components
+/// at the head of that order have their branch-and-exclude trees split
+/// across every worker, then the tail fans out one component per worker.
+/// With a null pool every component runs inline on the calling thread.
+/// Merging is deterministic, so results are identical (same order) at every
+/// pool size, null included.
 class FullDisjunction {
  public:
-  explicit FullDisjunction(FdOptions options = FdOptions())
-      : options_(options) {}
+  /// `pool` is not owned and may be null.
+  explicit FullDisjunction(FdOptions options = FdOptions(),
+                           ThreadPool* pool = nullptr)
+      : options_(options), pool_(pool) {}
 
   /// Computes FD over a prepared problem (builds its index if needed).
   Result<FdResult> Run(FdProblem* problem) const;
@@ -211,15 +194,17 @@ class FullDisjunction {
   /// The decode-free core of Run: post-subsumption interned result rows in
   /// final (TID-sorted) order. Fills `stats` (results counts the surviving
   /// code tuples; decode wall time is the caller's). `ctx` is polled per
-  /// component and inside the enumerator's amortized budget check: a fired
-  /// token returns Status::Cancelled, an expired deadline
+  /// scheduled component and inside the enumerator's amortized budget
+  /// check: a fired token returns Status::Cancelled, an expired deadline
   /// Status::DeadlineExceeded, an exhausted ResourceBudget
   /// Status::ResourceExhausted — or, under BudgetPolicy::kTruncate, the
   /// deadline/budget stop keeps the components completed so far and records
-  /// the cut in stats->truncation. `progress` receives
+  /// the cut in stats->truncation. Once any component records a stop, no
+  /// component that has not started runs. `progress` receives
   /// kFdEnumerate/kFdSubsume boundary events ((0,1) entry, (1,1)
-  /// completion). Streaming consumers (LakeEngine row sinks) decode these
-  /// in batches instead of materializing the full FdResult.
+  /// completion), from the calling thread only. Streaming consumers
+  /// (LakeEngine row sinks) decode these in batches instead of
+  /// materializing the full FdResult.
   Result<std::vector<FdCodeTuple>> RunCodes(
       FdProblem* problem, FdStats* stats,
       const RequestContext& ctx = RequestContext(),
@@ -230,45 +215,9 @@ class FullDisjunction {
                            const AlignedSchema& aligned,
                            bool include_provenance = false) const;
 
-  /// Enumerates the joins of maximal connected consistent sets within one
-  /// component (no subsumption), as interned code tuples. `budget` is
-  /// decremented per search node; reaching zero aborts with
-  /// FailedPrecondition (or kResourceExhausted when the bound came from
-  /// `ctx`'s ResourceBudget). `scratch` must come from the same problem and
-  /// is reused across calls — the executors keep one per worker. When `ctx`
-  /// is non-null it is polled alongside the budget; a fired token aborts
-  /// with Status::Cancelled, an expired deadline with
-  /// Status::DeadlineExceeded.
-  static Result<std::vector<FdCodeTuple>> RunComponentCodes(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      std::atomic<int64_t>* budget, uint64_t* nodes_used, FdScratch* scratch,
-      const RequestContext* ctx = nullptr);
-
-  /// Intra-component parallel twin of RunComponentCodes: the component's
-  /// branch-and-exclude tree is split into independent subtree tasks (one
-  /// per top-level branch; depth-bounded re-splitting under skew, see
-  /// FdOptions::intra_split_depth) executed by `workers` loops on `pool`
-  /// via a shared work queue. Results merge in deterministic branch order,
-  /// so output is byte-identical to RunComponentCodes at any worker count
-  /// and schedule. `scratches` supplies one FdScratch per worker (size >=
-  /// workers, same problem). When `pool` is null the whole tree runs inline
-  /// on scratches[0]. Node totals are added to *nodes_used, spawned-task
-  /// counts to *tasks_spawned, and when `profile` is non-null the per-task
-  /// grain/timing counters are accumulated into it.
-  static Result<std::vector<FdCodeTuple>> RunComponentCodesParallel(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      const FdOptions& options, ThreadPool* pool, size_t workers,
-      std::vector<FdScratch>* scratches, std::atomic<int64_t>* budget,
-      uint64_t* nodes_used, uint64_t* tasks_spawned,
-      const RequestContext* ctx = nullptr, FdTaskProfile* profile = nullptr);
-
-  /// Decoded convenience wrapper around RunComponentCodes (tests).
-  static Result<std::vector<FdResultTuple>> RunComponent(
-      const FdProblem& problem, const std::vector<uint32_t>& component,
-      std::atomic<int64_t>* budget, uint64_t* nodes_used);
-
  private:
   FdOptions options_;
+  ThreadPool* pool_;
 };
 
 }  // namespace lakefuzz

@@ -1,9 +1,8 @@
-// ParallelFullDisjunction: component-level parallel FD executor.
+// ParallelFullDisjunction: the pool-owning front of the FD executor.
 //
-// Join-graph components are independent FD subproblems (Paganelli et al.,
-// Big Data Research 2019, parallelize FD the same way); this executor
-// distributes them over a thread pool, largest-first to balance the skewed
-// component-size distribution of real lakes.
+// FullDisjunction is the one executor; it runs on whatever pool it is given
+// (or inline without one). This front only decides which pool that is — a
+// caller's session pool, or one spawned for the run — and forwards.
 #ifndef LAKEFUZZ_FD_PARALLEL_H_
 #define LAKEFUZZ_FD_PARALLEL_H_
 
@@ -25,9 +24,9 @@ struct ParallelFdOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Thread-pool FD executor. Results are identical (same order) to the
-/// sequential FullDisjunction — merging is deterministic regardless of
-/// completion order.
+/// Runs FullDisjunction on `options.pool`, or on a pool of
+/// `options.num_threads` workers owned for the duration of the call.
+/// Results are identical (same order) to a poolless FullDisjunction.
 class ParallelFullDisjunction {
  public:
   explicit ParallelFullDisjunction(
@@ -36,12 +35,7 @@ class ParallelFullDisjunction {
 
   Result<FdResult> Run(FdProblem* problem) const;
 
-  /// Post-subsumption interned result rows (see FullDisjunction::RunCodes).
-  /// `ctx` (cancel + deadline + budget) is polled per scheduled component
-  /// and inside the enumerator; under BudgetPolicy::kTruncate a
-  /// deadline/budget stop returns the components completed so far and
-  /// records the cut in stats->truncation. `progress` events fire from the
-  /// coordinating thread only (never from pool workers).
+  /// See FullDisjunction::RunCodes.
   Result<std::vector<FdCodeTuple>> RunCodes(
       FdProblem* problem, FdStats* stats,
       const RequestContext& ctx = RequestContext(),

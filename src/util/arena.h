@@ -161,17 +161,12 @@ class ArenaAllocator {
   size_t peak_bytes_ = 0;
 };
 
-/// RAII mark/rewind pair for scope-shaped arena usage. A null arena makes
-/// the frame a no-op, so call sites need no branching when the arena is
-/// disabled.
+/// RAII mark/rewind pair for scope-shaped arena usage.
 class ArenaFrame {
  public:
-  explicit ArenaFrame(ArenaAllocator* arena) : arena_(arena) {
-    if (arena_ != nullptr) mark_ = arena_->mark();
-  }
-  ~ArenaFrame() {
-    if (arena_ != nullptr) arena_->Rewind(mark_);
-  }
+  explicit ArenaFrame(ArenaAllocator* arena)
+      : arena_(arena), mark_(arena->mark()) {}
+  ~ArenaFrame() { arena_->Rewind(mark_); }
   ArenaFrame(const ArenaFrame&) = delete;
   ArenaFrame& operator=(const ArenaFrame&) = delete;
 
@@ -180,11 +175,9 @@ class ArenaFrame {
   ArenaAllocator::Mark mark_;
 };
 
-/// Minimal growable array of trivially copyable T, backed by an arena when
-/// one is given (freed wholesale by the enclosing ArenaFrame/Rewind) or by
-/// the heap otherwise (freed in the destructor). The single container the
-/// enumerator hot path uses, so "arena on" and "arena off" execute the
-/// identical algorithm — only the allocator differs.
+/// Minimal growable array of trivially copyable T, backed by an arena and
+/// freed wholesale by the enclosing ArenaFrame/Rewind. The container the FD
+/// enumerator hot path uses for its per-node temporaries.
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -195,9 +188,6 @@ class ArenaVector {
   explicit ArenaVector(ArenaAllocator* arena, size_t initial_capacity = 0)
       : arena_(arena) {
     if (initial_capacity > 0) Reserve(initial_capacity);
-  }
-  ~ArenaVector() {
-    if (arena_ == nullptr) ::operator delete(data_);
   }
   ArenaVector(const ArenaVector&) = delete;
   ArenaVector& operator=(const ArenaVector&) = delete;
@@ -224,20 +214,11 @@ class ArenaVector {
  private:
   void Reserve(size_t new_cap) {
     if (new_cap <= cap_) return;
-    if (arena_ != nullptr) {
-      if (cap_ != 0 &&
-          arena_->TryExtend(data_, cap_ * sizeof(T), new_cap * sizeof(T))) {
-        cap_ = new_cap;
-        return;
-      }
+    if (cap_ == 0 ||
+        !arena_->TryExtend(data_, cap_ * sizeof(T), new_cap * sizeof(T))) {
       T* nd = arena_->AllocArray<T>(new_cap);
       if (size_ != 0) std::memcpy(nd, data_, size_ * sizeof(T));
       data_ = nd;  // old buffer stays dead in the arena until Rewind
-    } else {
-      T* nd = static_cast<T*>(::operator new(new_cap * sizeof(T)));
-      if (size_ != 0) std::memcpy(nd, data_, size_ * sizeof(T));
-      ::operator delete(data_);
-      data_ = nd;
     }
     cap_ = new_cap;
   }

@@ -1,7 +1,7 @@
 // Tests for the per-worker bump-pointer arena (util/arena.h) and the
 // thread-pool execution counters (PoolStats): mark/rewind scope discipline,
-// grow-in-place, block reuse across Reset, the ArenaVector heap fallback
-// that keeps "arena off" on the identical code path, and a many-tiny-tasks
+// grow-in-place, block reuse across Reset, ArenaVector growth matching
+// std::vector element for element, and a many-tiny-tasks
 // pool stress asserting arena reuse never aliases live data (the ASan job
 // re-runs this under the allocator poisoners).
 #include <gtest/gtest.h>
@@ -60,25 +60,24 @@ TEST(ArenaTest, ResetKeepsReservedBlocksAndPeak) {
   EXPECT_GE(arena.peak_bytes(), peak);          // high-water never shrinks
 }
 
-TEST(ArenaTest, ArenaVectorMatchesHeapFallbackExactly) {
-  // One code path, two allocators: pushing the same sequence through an
-  // arena-backed and a heap-backed ArenaVector must produce identical
-  // contents (this is what makes FdOptions::scratch_arena a pure allocation
-  // knob).
+TEST(ArenaTest, ArenaVectorMatchesStdVectorExactly) {
+  // Growth relocates (or extends in place) inside the arena: pushing the
+  // same sequence through an ArenaVector and a std::vector must produce
+  // identical contents.
   ArenaAllocator arena;
   ArenaVector<uint32_t> on(&arena);
-  ArenaVector<uint32_t> off(nullptr);
+  std::vector<uint32_t> heap;
   for (uint32_t i = 0; i < 5000; ++i) {
     on.push_back(i * 2654435761u);
-    off.push_back(i * 2654435761u);
+    heap.push_back(i * 2654435761u);
   }
-  ASSERT_EQ(on.size(), off.size());
-  EXPECT_EQ(std::memcmp(on.data(), off.data(),
+  ASSERT_EQ(on.size(), heap.size());
+  EXPECT_EQ(std::memcmp(on.data(), heap.data(),
                         on.size() * sizeof(uint32_t)),
             0);
   on.pop_back();
-  off.pop_back();
-  EXPECT_EQ(on.back(), off.back());
+  heap.pop_back();
+  EXPECT_EQ(on.back(), heap.back());
 }
 
 TEST(ArenaTest, InterleavedVectorsStayDisjoint) {

@@ -11,6 +11,7 @@
 
 #include "core/engine.h"
 #include "core/pipeline.h"
+#include "datagen/imdb.h"
 #include "table/csv.h"
 #include "util/fault_injection.h"
 
@@ -383,28 +384,42 @@ TEST(LakeEngineTest, FuzzyPathBorrowsUntouchedTablesIntoSessionDict) {
 }
 
 TEST(LakeEngineTest, ParallelEngineMatchesSerialEngine) {
-  auto serial = MakeEngineWithSmallSet();
+  // Thread-count invariance at the engine level: one FD executor, run
+  // inline on a poolless engine and on session pools of 2/4/8 workers, must
+  // give the same fuzzy integration tuple for tuple (TIDs included).
+  ImdbOptions gen;
+  gen.target_tuples = 2000;
+  const ImdbBenchmark bench = GenerateImdb(gen);
+  std::vector<std::string> names;
+  for (const auto& t : bench.tables) names.push_back(t.name());
   RequestOptions req;
   req.holistic_alignment = false;
-  auto serial_result = serial->Integrate({"a", "b"}, req);
-  ASSERT_TRUE(serial_result.ok());
+  req.fuzzy = true;
+  req.include_provenance = true;
 
-  auto parallel = LakeEngine::Create(EngineOptions().SetNumThreads(4));
-  ASSERT_TRUE(parallel.ok());
-  auto tables = SmallIntegrationSet();
-  ASSERT_TRUE((*parallel)->RegisterTable("a", tables[0]).ok());
-  ASSERT_TRUE((*parallel)->RegisterTable("b", tables[1]).ok());
-  auto parallel_result = (*parallel)->Integrate({"a", "b"}, req);
-  ASSERT_TRUE(parallel_result.ok());
-  ExpectTablesIdentical(parallel_result->integrated, serial_result->integrated);
-
-  // parallel_fd=false forces the serial FD executor on a pooled engine;
-  // output is identical either way.
-  RequestOptions serial_fd = req;
-  serial_fd.parallel_fd = false;
-  auto forced_serial = (*parallel)->Integrate({"a", "b"}, serial_fd);
-  ASSERT_TRUE(forced_serial.ok());
-  ExpectTablesIdentical(forced_serial->integrated, serial_result->integrated);
+  Result<PipelineResult> expected = Status::Internal("unset");
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(engine.ok());
+    for (const auto& t : bench.tables) {
+      ASSERT_TRUE((*engine)->RegisterTable(t.name(), t).ok());
+    }
+    auto result = (*engine)->Integrate(names, req);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->report.truncation.truncated);
+    if (threads == 1) {
+      EXPECT_EQ(result->report.fd_stats.intra_tasks, 0u);
+      ASSERT_GT(result->integrated.NumRows(), 0u);
+      expected = std::move(result);
+      continue;
+    }
+    SCOPED_TRACE(threads);
+    // The IMDB giant component takes the intra-component split path.
+    EXPECT_GT(result->report.fd_stats.intra_tasks, 0u);
+    EXPECT_EQ(result->report.fd_stats.search_nodes,
+              expected->report.fd_stats.search_nodes);
+    ExpectTablesIdentical(result->integrated, expected->integrated);
+  }
 }
 
 TEST(LakeEngineTest, RegularFdMode) {

@@ -61,7 +61,7 @@ TEST(IntraComponentTest, SingleGiantComponentByteIdenticalAcrossThreads) {
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
 
-  // Reference: the sequential executor.
+  // Reference: the executor without a pool.
   FdProblem serial_problem = *problem;
   FdStats serial_stats;
   auto serial =
@@ -97,10 +97,10 @@ TEST(IntraComponentTest, SingleGiantComponentByteIdenticalAcrossThreads) {
   }
 }
 
-TEST(IntraComponentTest, ArenaOnOffByteIdenticalAcrossThreads) {
-  // FdOptions::scratch_arena must be a pure allocation knob: identical
-  // tuples AND identical search_nodes with the arena on or off, at every
-  // thread count (ArenaVector's heap fallback keeps one code path).
+TEST(IntraComponentTest, ScratchArenaByteIdenticalAcrossThreads) {
+  // Every lane's per-node temporaries live in its scratch arena: identical
+  // tuples AND identical search_nodes at every thread count, with the
+  // arenas actually in use.
   auto tables = GiantComponentTables(4, 24, 2);
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
@@ -109,38 +109,32 @@ TEST(IntraComponentTest, ArenaOnOffByteIdenticalAcrossThreads) {
   FdStats ref_stats;
   auto reference = FullDisjunction().RunCodes(&ref_problem, &ref_stats);
   ASSERT_TRUE(reference.ok());
-  EXPECT_GT(ref_stats.arena_peak_bytes, 0u);  // default: arena on
+  EXPECT_GT(ref_stats.arena_peak_bytes, 0u);
 
-  for (bool arena_on : {false, true}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      FdProblem p = *problem;
-      ParallelFdOptions opts;
-      opts.num_threads = threads;
-      opts.fd.intra_component_min_size = 2;
-      opts.fd.scratch_arena = arena_on;
-      FdStats stats;
-      auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
-      ASSERT_TRUE(result.ok()) << arena_on << " " << threads;
-      ASSERT_EQ(result->size(), reference->size())
-          << arena_on << " " << threads;
-      for (size_t i = 0; i < reference->size(); ++i) {
-        ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
-            << "arena " << arena_on << " threads " << threads;
-        ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
-            << "arena " << arena_on << " threads " << threads;
-      }
-      EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes)
-          << arena_on << " " << threads;
-      if (!arena_on) EXPECT_EQ(stats.arena_peak_bytes, 0u);
+  for (size_t threads : {1u, 2u, 8u}) {
+    FdProblem p = *problem;
+    ParallelFdOptions opts;
+    opts.num_threads = threads;
+    opts.fd.intra_component_min_size = 2;
+    FdStats stats;
+    auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
+    ASSERT_TRUE(result.ok()) << threads;
+    ASSERT_EQ(result->size(), reference->size()) << threads;
+    for (size_t i = 0; i < reference->size(); ++i) {
+      ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
+          << "threads " << threads;
+      ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
+          << "threads " << threads;
     }
+    EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes) << threads;
+    EXPECT_GT(stats.arena_peak_bytes, 0u) << threads;
   }
 }
 
-TEST(IntraComponentTest, AdaptiveGateOnOffByteIdenticalAcrossThreads) {
+TEST(IntraComponentTest, AdaptiveGateByteIdenticalAcrossThreads) {
   // The adaptive split gate only changes WHICH tasks split, never what any
-  // task computes, so output and search_nodes must match the serial
-  // reference whether the gate is adaptive (default multiple) or disabled
-  // (0 restores the static low-water heuristic).
+  // task computes, so output and search_nodes must match the poolless
+  // reference at every worker count.
   auto tables = GiantComponentTables(4, 24, 2);
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
@@ -150,32 +144,27 @@ TEST(IntraComponentTest, AdaptiveGateOnOffByteIdenticalAcrossThreads) {
   auto reference = FullDisjunction().RunCodes(&ref_problem, &ref_stats);
   ASSERT_TRUE(reference.ok());
 
-  for (double multiple : {0.0, 8.0}) {
-    for (size_t threads : {2u, 8u}) {
-      FdProblem p = *problem;
-      ParallelFdOptions opts;
-      opts.num_threads = threads;
-      opts.fd.intra_component_min_size = 2;
-      opts.fd.intra_split_overhead_multiple = multiple;
-      FdStats stats;
-      auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
-      ASSERT_TRUE(result.ok()) << multiple << " " << threads;
-      ASSERT_EQ(result->size(), reference->size())
-          << multiple << " " << threads;
-      for (size_t i = 0; i < reference->size(); ++i) {
-        ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
-            << "multiple " << multiple << " threads " << threads;
-        ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
-            << "multiple " << multiple << " threads " << threads;
-      }
-      EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes)
-          << multiple << " " << threads;
-      EXPECT_GT(stats.intra_tasks, 0u) << multiple << " " << threads;
-      // Every executed task is profiled: the spawned subtree tasks plus
-      // the component's root task.
-      EXPECT_EQ(stats.task_profile.tasks, stats.intra_tasks + 1);
-      EXPECT_GT(stats.task_profile.busy_ns, 0u);
+  for (size_t threads : {2u, 8u}) {
+    FdProblem p = *problem;
+    ParallelFdOptions opts;
+    opts.num_threads = threads;
+    opts.fd.intra_component_min_size = 2;
+    FdStats stats;
+    auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
+    ASSERT_TRUE(result.ok()) << threads;
+    ASSERT_EQ(result->size(), reference->size()) << threads;
+    for (size_t i = 0; i < reference->size(); ++i) {
+      ASSERT_EQ((*result)[i].codes, (*reference)[i].codes)
+          << "threads " << threads;
+      ASSERT_EQ((*result)[i].tids, (*reference)[i].tids)
+          << "threads " << threads;
     }
+    EXPECT_EQ(stats.search_nodes, ref_stats.search_nodes) << threads;
+    EXPECT_GT(stats.intra_tasks, 0u) << threads;
+    // Every executed task is profiled: the spawned subtree tasks plus
+    // the component's root task.
+    EXPECT_EQ(stats.task_profile.tasks, stats.intra_tasks + 1);
+    EXPECT_GT(stats.task_profile.busy_ns, 0u);
   }
 }
 
@@ -211,19 +200,19 @@ TEST(IntraComponentTest, ManyComponentsWithIntraStillMatchSerial) {
   }
 }
 
-TEST(IntraComponentTest, DisableSplittingViaThreadsKnob) {
+TEST(IntraComponentTest, OneWorkerPoolNeverSplits) {
   auto tables = GiantComponentTables(3, 10, 2);
   auto problem = BuildGiant(tables);
   ASSERT_TRUE(problem.ok());
   ParallelFdOptions opts;
-  opts.num_threads = 4;
+  opts.num_threads = 1;
   opts.fd.intra_component_min_size = 2;
-  opts.fd.intra_component_threads = 1;  // knob: force pre-PR4 behavior
   FdStats stats;
   FdProblem p = *problem;
   auto result = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.intra_tasks, 0u);
+  EXPECT_EQ(stats.task_profile.tasks, 0u);
 }
 
 TEST(IntraComponentTest, CancelAtEnumerationEntryReturnsCancelled) {

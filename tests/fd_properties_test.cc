@@ -7,8 +7,8 @@
 //   (3) every result's provenance is a connected, join-consistent set with
 //       at most one tuple per table, and its values are exactly their join.
 //
-// Checked on randomized instances across a grid of shapes, for both the
-// sequential and the parallel executor, and through the fuzzy pipeline.
+// Checked on randomized instances across a grid of shapes, for the executor
+// without a pool and on one, and through the fuzzy pipeline.
 #include <gtest/gtest.h>
 
 #include "core/fuzzy_fd.h"

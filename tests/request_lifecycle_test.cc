@@ -3,7 +3,9 @@
 // reports), admission control, and the CSV robustness guards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
 #include <filesystem>
 #include <thread>
 
@@ -14,6 +16,7 @@
 #include "table/csv.h"
 #include "util/request_context.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 
 namespace lakefuzz {
 namespace {
@@ -233,6 +236,14 @@ TEST(FdDeadlineTest, SerialExpiredDeadlineTruncatesUnderPolicy) {
   EXPECT_EQ(stats.truncation.components_completed, 0u);
   EXPECT_GT(stats.truncation.components_skipped, 0u);
   EXPECT_NE(stats.truncation.reason.find("deadline"), std::string::npos);
+  // Diagnostics describe the whole problem, not just the components the
+  // run reached before the cut.
+  size_t largest = 0;
+  for (const auto& c : problem->Components()) {
+    largest = std::max(largest, c.size());
+  }
+  EXPECT_GT(largest, 0u);
+  EXPECT_EQ(stats.largest_component, largest);
 }
 
 TEST(FdDeadlineTest, ParallelExpiredDeadlineTruncatesUnderPolicy) {
@@ -250,6 +261,90 @@ TEST(FdDeadlineTest, ParallelExpiredDeadlineTruncatesUnderPolicy) {
   EXPECT_TRUE(stats.truncation.truncated);
   EXPECT_EQ(stats.truncation.components_completed, 0u);
   EXPECT_GT(stats.truncation.components_skipped, 0u);
+}
+
+/// A table of 40 singleton components listed before the giant-component
+/// tables, so the singletons hold the smallest TIDs.
+std::vector<Table> SingletonsThenGiantTables() {
+  std::vector<Table> tables;
+  Table solo("solo", Schema::FromNames({"solo"}));
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(solo.AppendRow({Value::String(StrFormat("s%d", i))}).ok());
+  }
+  tables.push_back(std::move(solo));
+  for (auto& t : GiantComponentTables(4, 24, 2)) {
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+TEST(FdBudgetTest, NodeBudgetCutKeepsWholeComponentsAtEveryPoolSize) {
+  const std::vector<Table> tables = SingletonsThenGiantTables();
+  auto full_problem = BuildByName(tables);
+  ASSERT_TRUE(full_problem.ok());
+  FdStats full_stats;
+  auto full = FullDisjunction().RunCodes(&*full_problem, &full_stats);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const auto& components = full_problem->Components();
+  std::vector<size_t> component_of(full_problem->num_tuples());
+  for (size_t c = 0; c < components.size(); ++c) {
+    for (uint32_t tid : components[c]) component_of[tid] = c;
+  }
+  auto by_component = [&](const std::vector<FdCodeTuple>& tuples) {
+    std::vector<std::vector<const FdCodeTuple*>> parts(components.size());
+    for (const auto& t : tuples) {
+      parts[component_of[t.tids.front()]].push_back(&t);
+    }
+    return parts;
+  };
+  const auto full_parts = by_component(*full);
+  const size_t giant = component_of[40];  // first tuple of table t0
+  ASSERT_EQ(components[giant].size(), 4u * 24u * 2u);
+
+  RequestContext ctx;
+  // The first 1024-node block is always granted; the giant needs more, so
+  // its next draw cuts it. Singletons take the fast path and draw nothing.
+  ctx.budget.max_fd_nodes = 1;
+  ctx.policy = BudgetPolicy::kTruncate;
+  for (size_t threads : {size_t{0}, size_t{4}}) {  // 0 = no pool
+    SCOPED_TRACE(threads);
+    auto problem = BuildByName(tables);
+    ASSERT_TRUE(problem.ok());
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    FdStats stats;
+    auto cut = FullDisjunction(FdOptions(), pool.get())
+                   .RunCodes(&*problem, &stats, ctx);
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    const Truncation& t = stats.truncation;
+    ASSERT_TRUE(t.truncated);
+    EXPECT_NE(t.reason.find("max_fd_nodes"), std::string::npos);
+    EXPECT_EQ(t.components_completed + t.components_skipped,
+              stats.num_components);
+    EXPECT_EQ(stats.largest_component, components[giant].size());
+
+    // Whole components only: each kept component matches the full run
+    // tuple for tuple, and the giant that hit the budget is not kept.
+    const auto parts = by_component(*cut);
+    size_t kept = 0;
+    for (size_t c = 0; c < parts.size(); ++c) {
+      if (parts[c].empty()) continue;
+      ++kept;
+      ASSERT_EQ(parts[c].size(), full_parts[c].size()) << c;
+      for (size_t k = 0; k < parts[c].size(); ++k) {
+        EXPECT_EQ(parts[c][k]->codes, full_parts[c][k]->codes) << c;
+        EXPECT_EQ(parts[c][k]->tids, full_parts[c][k]->tids) << c;
+      }
+    }
+    EXPECT_TRUE(parts[giant].empty());
+    EXPECT_EQ(kept, t.components_completed);
+    if (threads == 0) {
+      // Largest-first: inline, the giant runs (and is cut) before any
+      // singleton starts, so nothing after it runs.
+      EXPECT_EQ(t.components_completed, 0u);
+      EXPECT_TRUE(cut->empty());
+    }
+  }
 }
 
 // ----------------------------------------------------- engine deadlines
