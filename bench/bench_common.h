@@ -16,6 +16,7 @@
 #include "assignment/parallel_cost.h"
 #include "core/value_matcher.h"
 #include "datagen/autojoin.h"
+#include "fd/full_disjunction.h"
 #include "metrics/pair_eval.h"
 #include "metrics/prf.h"
 #include "util/flags.h"
@@ -131,6 +132,15 @@ inline double Percentile(std::vector<double> samples, double q) {
   size_t hi = static_cast<size_t>(std::ceil(pos));
   double frac = pos - static_cast<double>(lo);
   return samples[lo] + (samples[hi] - samples[lo]) * frac;
+}
+
+/// FD enumeration cost per search node in microseconds (enumeration wall
+/// time / search nodes; 0 when no node ran) — the per-node constant the
+/// enumeration benches record beside their totals.
+inline double UsPerNode(const FdStats& stats) {
+  if (stats.search_nodes == 0) return 0.0;
+  return stats.enumeration_seconds * 1e6 /
+         static_cast<double>(stats.search_nodes);
 }
 
 /// Collects per-configuration benchmark records and renders them as a JSON

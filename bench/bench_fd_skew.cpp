@@ -14,7 +14,10 @@
 //   --tables=N --keys=N --rows_per_key=N   instance shape (default 4/500/2
 //                                          → 4000-tuple single component)
 //   --corrupt=P        typo probability on key cells (seeded; default 0.15)
-//   --reps=N           repetitions, best time kept (default 3)
+//   --reps=N           repetitions, best time kept (default 10: one
+//                      enumeration is tens of milliseconds, so fewer
+//                      samples leave p50 and the speedups to scheduler
+//                      noise)
 //   --threads=a,b,c    sweep list (default "1,2,4,8")
 //   --smoke            tiny instance + 1 rep: CI bit-rot guard, not a
 //                      measurement
@@ -73,7 +76,7 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("keys", smoke ? 12 : 500));
   size_t rows_per_key = static_cast<size_t>(flags.GetInt("rows_per_key", 2));
   double corrupt = flags.GetDouble("corrupt", 0.15);
-  int reps = static_cast<int>(flags.GetInt("reps", smoke ? 1 : 3));
+  int reps = static_cast<int>(flags.GetInt("reps", smoke ? 1 : 10));
   std::string sweep = flags.GetString("threads", "1,2,4,8");
   std::string json_out = flags.GetString("json_out", "");
   BenchJsonWriter json;
@@ -128,13 +131,15 @@ int main(int argc, char** argv) {
   json.AddFromStats(
       "fd_skew_giant_serial", 1, serial_run,
       {{"enum_s", serial_enum},
+       {"us_per_node", UsPerNode(serial_report.fd_stats)},
        {"output_tuples", static_cast<double>(reference.tuples.size())},
        {"search_nodes",
         static_cast<double>(serial_report.fd_stats.search_nodes)}});
-  std::printf("serial: enum %.3f s, %zu tuples, %llu nodes\n", serial_enum,
-              reference.tuples.size(),
+  std::printf("serial: enum %.3f s, %zu tuples, %llu nodes (%.3f us/node)\n",
+              serial_enum, reference.tuples.size(),
               static_cast<unsigned long long>(
-                  serial_report.fd_stats.search_nodes));
+                  serial_report.fd_stats.search_nodes),
+              UsPerNode(serial_report.fd_stats));
 
   for (const std::string& part : Split(sweep, ',')) {
     size_t t = 0;
@@ -182,6 +187,7 @@ int main(int argc, char** argv) {
                                           : 1.0;
     std::vector<std::pair<std::string, double>> extras = {
         {"enum_s", best_enum},
+        {"us_per_node", UsPerNode(best_stats)},
         {"speedup_vs_serial", serial_enum / best_enum},
         {"output_tuples", static_cast<double>(reference.tuples.size())}};
     for (auto& kv : FdExecutionExtras(best_stats)) {

@@ -9,6 +9,10 @@
 // the claims under reproduction are the overlap and the growth shape.
 //
 // Performance flags:
+//   --reps=N            repetitions per row, best time kept and p50 taken
+//                       over them (default 7: FD rows take tens to a few
+//                       hundred milliseconds, and fewer samples leave the
+//                       p50 regression gate to scheduler noise)
 //   --threads=N         matcher worker threads (0 = hardware concurrency)
 //   --fd_threads=a,b,c  additionally run both executors through
 //                       ParallelFullDisjunction once per listed thread
@@ -16,8 +20,9 @@
 //                       Output cardinality is asserted identical across all
 //                       thread counts.
 //   --json_out=PATH     machine-readable artifact with per-stage timings
-//                       (fd_index_s, fd_enum_s, subsumption_s) and the
-//                       interned-core counters.
+//                       (fd_index_s, fd_enum_s, subsumption_s), the
+//                       enumeration cost per search node (us_per_node) and
+//                       the interned-core counters.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -38,6 +43,7 @@ void AppendFdStageExtras(std::vector<std::pair<std::string, double>>* extra,
                          const FuzzyFdReport& report) {
   extra->emplace_back("fd_index_s", report.fd_stats.index_seconds);
   extra->emplace_back("fd_enum_s", report.fd_stats.enumeration_seconds);
+  extra->emplace_back("us_per_node", UsPerNode(report.fd_stats));
   extra->emplace_back("subsumption_s", report.fd_stats.subsumption_seconds);
   extra->emplace_back("posting_lists",
                       static_cast<double>(report.fd_stats.posting_lists));
@@ -51,7 +57,7 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   size_t max_tuples = static_cast<size_t>(flags.GetInt("max-tuples", 30000));
   size_t step = static_cast<size_t>(flags.GetInt("step", 5000));
-  int repetitions = static_cast<int>(flags.GetInt("reps", 3));
+  int repetitions = static_cast<int>(flags.GetInt("reps", 7));
   size_t threads = ParseThreadsFlag(flags);
   std::string fd_threads = flags.GetString("fd_threads", "1,2,8");
   std::string json_out = flags.GetString("json_out", "");

@@ -206,9 +206,9 @@ class ComponentEnumerator {
       for (size_t i = 0; i < link->prefix; ++i) SetExcluded(tids[i]);
     }
     // Replay the include path, rebuilding the extension set exactly as the
-    // sequential descent did (SeedExtensions for |S| = 1, then the
-    // incremental ChildExtensions chain). Extensions ignore exclusions, so
-    // marking the chain first cannot perturb the replay.
+    // sequential descent did (the ChildExtensions chain, from an empty set
+    // at the seed). Extensions ignore exclusions, so marking the chain
+    // first cannot perturb the replay.
     ordinals_ = task.ordinals;
     std::vector<uint32_t> ext;
     std::vector<std::vector<uint32_t>> flips;
@@ -217,12 +217,8 @@ class ComponentEnumerator {
       std::vector<uint32_t> flipped;
       Include(v, &flipped);
       std::vector<uint32_t> next;
-      if (members_.size() == 1) {
-        SeedExtensions(v, &next);
-      } else {
-        ChildExtensions(ext.data(), ext.size(), v, flipped.data(),
-                        flipped.size(), &next);
-      }
+      ChildExtensions(ext.data(), ext.size(), v, flipped.data(),
+                      flipped.size(), &next);
       ext = std::move(next);
       flips.push_back(std::move(flipped));
     }
@@ -332,7 +328,6 @@ class ComponentEnumerator {
       s_.merged[c] = row[c];
       flipped->push_back(static_cast<uint32_t>(c));
     }
-    s_.in_set[tid] = true;
     s_.table_used[problem_.table_id(tid)] = 1;
     members_.push_back(tid);
   }
@@ -341,42 +336,32 @@ class ComponentEnumerator {
     for (size_t k = 0; k < num_flipped; ++k) {
       s_.merged[flipped[k]] = FdProblem::kNullCode;
     }
-    s_.in_set[tid] = false;
     s_.table_used[problem_.table_id(tid)] = 0;
     members_.pop_back();
   }
 
-  /// Extension set of the seed set S = {v}: v's join-graph neighbors,
-  /// filtered. The root's `ext` (all component members) is *not* neighbor-
-  /// derived, so it must not be carried over — connectivity starts here.
-  template <typename Vec>
-  void SeedExtensions(uint32_t v, Vec* child) {
-    ++s_.epoch;
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
-      if (s_.seen_stamp[nb] == s_.epoch) return;
-      s_.seen_stamp[nb] = s_.epoch;
-      if (s_.table_used[problem_.table_id(nb)]) return;
-      if (!ConsistentWithMerged(nb)) return;
-      child->push_back(nb);
-    });
-    std::sort(child->begin(), child->end());
-  }
-
-  /// Extension set after including `v` into S (|S| ≥ 1), derived
-  /// incrementally from the parent's set `ext` (the consistent join-graph
-  /// extensions of S, ignoring exclusions). Correctness rests on
+  /// Extension set after including `v` into S, derived incrementally from
+  /// the parent's set `ext` (the consistent join-graph extensions of S,
+  /// ignoring exclusions). For the seed (S = ∅) the caller passes an empty
+  /// `ext`: the root's node set (all component members) is not
+  /// neighbor-derived, so connectivity starts at v. Correctness rests on
   /// monotonicity: merged codes only gain columns and used tables only grow
   /// as S grows, so
   ///   ext(S ∪ {v}) = {u ∈ ext(S) : table(u) ≠ table(v), u agrees with v's
   ///                   newly `flipped` columns}
   ///                ∪ {u ∈ N(v) \ ext(S) : full table + consistency check}.
   /// A neighbor of an earlier member that failed its check once can never
-  /// pass later, so re-testing only v's neighbors loses nothing. This
-  /// replaces the former per-node rescan of *every* member's posting lists
-  /// (the superlinear term on hub-heavy join graphs) with O(|ext| · |flipped|
-  /// + deg(v)). The final sort keeps exploration order — and therefore
-  /// results — identical to the materialized-adjacency implementation.
+  /// pass later, so re-testing only v's neighbors loses nothing — and v's
+  /// neighbors through a column v did *not* flip are such neighbors: that
+  /// column's code is already merged, so some member w carries it and every
+  /// tuple on the posting is w's neighbor. The sweep therefore reads only
+  /// postings on flipped columns (every column of v at the seed), and
+  /// inside them only runs of tables not yet in S ∪ {v} (S's members and v
+  /// sit in used tables, so they drop out with their runs). Cost:
+  /// O(|ext| · |flipped|) for the filter plus the entries of unused-table
+  /// runs of v's flipped-column postings. The final sort keeps exploration
+  /// order — and therefore results — identical to the materialized-
+  /// adjacency implementation.
   template <typename Vec>
   void ChildExtensions(const uint32_t* ext, size_t ext_size, uint32_t v,
                        const uint32_t* flipped, size_t num_flipped,
@@ -385,9 +370,8 @@ class ComponentEnumerator {
     ++s_.epoch;
     for (size_t i = 0; i < ext_size; ++i) {
       const uint32_t u = ext[i];
-      if (s_.in_set[u]) continue;  // v itself (just included)
       s_.seen_stamp[u] = s_.epoch;
-      if (problem_.table_id(u) == v_table) continue;
+      if (problem_.table_id(u) == v_table) continue;  // v's table (v too)
       const uint32_t* row = problem_.CodeRow(u);
       bool ok = true;
       for (size_t k = 0; k < num_flipped; ++k) {
@@ -399,16 +383,15 @@ class ComponentEnumerator {
       }
       if (ok) child->push_back(u);
     }
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
-      if (s_.seen_stamp[nb] == s_.epoch) return;
-      s_.seen_stamp[nb] = s_.epoch;
-      // One tuple per relation: a tuple whose table is already represented
-      // can never extend S (neither now nor in any superset of S).
-      if (s_.table_used[problem_.table_id(nb)]) return;
-      if (!ConsistentWithMerged(nb)) return;
-      child->push_back(nb);
-    });
+    for (size_t k = 0; k < num_flipped; ++k) s_.live_columns[flipped[k]] = 1;
+    problem_.ForEachLiveCoPosted(
+        v, s_.table_used.data(), s_.live_columns.data(), [&](uint32_t nb) {
+          if (s_.seen_stamp[nb] == s_.epoch) return;
+          s_.seen_stamp[nb] = s_.epoch;
+          if (!ConsistentWithMerged(nb)) return;
+          child->push_back(nb);
+        });
+    for (size_t k = 0; k < num_flipped; ++k) s_.live_columns[flipped[k]] = 0;
     std::sort(child->begin(), child->end());
   }
 
@@ -582,12 +565,10 @@ class ComponentEnumerator {
         ArenaVector<uint32_t> flipped(a);
         Include(v, &flipped);
         ArenaVector<uint32_t> child(a);
-        if (members_.size() == 1) {
-          SeedExtensions(v, &child);
-        } else {
-          ChildExtensions(ext, ext_size, v, flipped.data(), flipped.size(),
-                          &child);
-        }
+        // At the root, `ext` is every component member rather than an
+        // extension set, so the seed S = {v} starts from an empty one.
+        ChildExtensions(ext, members_.size() == 1 ? 0 : ext_size, v,
+                        flipped.data(), flipped.size(), &child);
         st = Extend(child.data(), child.size());
         Undo(v, flipped.data(), flipped.size());
       }

@@ -155,16 +155,20 @@ struct FdResult {
 struct FdScratch {
   explicit FdScratch(const FdProblem& problem)
       : merged(problem.num_columns(), FdProblem::kNullCode),
-        in_set(problem.num_tuples(), 0),
         excluded(problem.num_tuples(), 0),
         seen_stamp(problem.num_tuples(), 0),
-        table_used(problem.num_tables(), 0) {}
+        table_used(problem.num_tables(), 0),
+        live_columns(problem.num_columns(), 0) {}
 
   std::vector<uint32_t> merged;  ///< current join, as dictionary codes
-  std::vector<char> in_set;
   std::vector<char> excluded;
   std::vector<uint64_t> seen_stamp;
+  /// Tables of the current set's members (an FD set holds at most one
+  /// tuple per table, so no tuple of a used table can join it).
   std::vector<char> table_used;
+  /// Columns the newest member flipped null→non-null, marked only for the
+  /// duration of one extension sweep.
+  std::vector<char> live_columns;
   uint64_t epoch = 0;
   /// Per-worker bump arena for the enumerator's per-node temporaries
   /// (extension sets, flipped-column lists): scope-framed alloc/rewind

@@ -21,10 +21,11 @@
 namespace lakefuzz {
 
 /// One shard of posting lists: key → list id, plus the lists (row ids in
-/// ascending order).
+/// ascending order) and the column each list posts (columns[i] of lists[i]).
 struct PostingShard {
   std::unordered_map<uint64_t, uint32_t> index;
   std::vector<std::vector<uint32_t>> lists;
+  std::vector<uint32_t> columns;
 };
 
 inline uint64_t PostingKey(size_t col, uint32_t code) {
@@ -67,7 +68,10 @@ std::vector<PostingShard> BuildPostingShards(ThreadPool* pool, size_t num_rows,
         if (PostingShardOf(key, shards) != s) continue;
         auto [it, inserted] =
             sh.index.emplace(key, static_cast<uint32_t>(sh.lists.size()));
-        if (inserted) sh.lists.emplace_back();
+        if (inserted) {
+          sh.lists.emplace_back();
+          sh.columns.push_back(static_cast<uint32_t>(c));
+        }
         sh.lists[it->second].push_back(i);
       }
     }

@@ -145,49 +145,79 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
 
   // ---- Phase 3: sharded posting maps over (column, code) integer keys
   // (fd/posting_shards.h). Singleton lists are then dropped — they induce
-  // no join edges.
+  // no join edges — and each shard counts the same-table runs of the lists
+  // it keeps.
   std::vector<PostingShard> shard = BuildPostingShards(
       pool, n, cols,
       [this, cols](uint32_t tid) {
         return codes_.data() + static_cast<size_t>(tid) * cols;
       });
   const size_t shards = shard.size();
+  std::vector<size_t> shard_runs(shards, 0);
   MaybeParallelFor(pool, shards, [&](size_t s) {
     auto& lists = shard[s].lists;
+    auto& columns = shard[s].columns;
     shard[s].index.clear();
     size_t kept = 0;
+    size_t runs = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
-      if (lists[i].size() < 2) continue;
-      if (kept != i) lists[kept] = std::move(lists[i]);
+      const auto& lst = lists[i];
+      if (lst.size() < 2) continue;
+      ++runs;
+      for (size_t j = 1; j < lst.size(); ++j) {
+        runs += table_ids_[lst[j]] != table_ids_[lst[j - 1]];
+      }
+      if (kept != i) {
+        lists[kept] = std::move(lists[i]);
+        columns[kept] = columns[i];
+      }
       ++kept;
     }
     lists.resize(kept);
+    columns.resize(kept);
+    shard_runs[s] = runs;
   });
 
-  // ---- Phase 4: CSR posting arrays + union-find component merge. Shards
-  // write disjoint ranges; the parallel path merges through a lock-free
-  // union-find, the serial path through an iterative union-by-rank one.
+  // ---- Phase 4: CSR posting arrays (TIDs, columns, same-table runs) +
+  // union-find component merge. Shards write disjoint ranges; the parallel
+  // path merges through a lock-free union-find, the serial path through an
+  // iterative union-by-rank one.
   std::vector<size_t> posting_base(shards + 1, 0);
   std::vector<size_t> entry_base(shards + 1, 0);
+  std::vector<size_t> run_base(shards + 1, 0);
   for (size_t s = 0; s < shards; ++s) {
     size_t entries = 0;
     for (const auto& lst : shard[s].lists) entries += lst.size();
     posting_base[s + 1] = posting_base[s] + shard[s].lists.size();
     entry_base[s + 1] = entry_base[s] + entries;
+    run_base[s + 1] = run_base[s] + shard_runs[s];
   }
   const size_t num_postings = posting_base[shards];
   const size_t num_entries = entry_base[shards];
+  const size_t num_runs = run_base[shards];
   posting_offsets_.assign(num_postings + 1, 0);
   posting_offsets_[num_postings] = num_entries;
   posting_tids_.assign(num_entries, 0);
+  posting_columns_.assign(num_postings, 0);
+  run_offsets_.assign(num_postings + 1, 0);
+  run_offsets_[num_postings] = num_runs;
+  runs_.assign(num_runs, PostingRun{});
 
   auto fill_shard = [&](size_t s, auto& union_find) {
     size_t p = posting_base[s];
     size_t e = entry_base[s];
-    for (const auto& lst : shard[s].lists) {
-      posting_offsets_[p++] = e;
+    size_t r = run_base[s];
+    for (size_t l = 0; l < shard[s].lists.size(); ++l) {
+      const auto& lst = shard[s].lists[l];
+      posting_offsets_[p] = e;
+      posting_columns_[p] = shard[s].columns[l];
+      run_offsets_[p] = r;
+      ++p;
       for (size_t i = 0; i < lst.size(); ++i) {
         posting_tids_[e++] = lst[i];
+        const uint32_t table = table_ids_[lst[i]];
+        if (i == 0 || runs_[r - 1].table != table) runs_[r++].table = table;
+        ++runs_[r - 1].length;
         if (i > 0) union_find.Union(lst[0], lst[i]);
       }
     }
@@ -251,6 +281,7 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
   }
   index_stats_.posting_lists = num_postings;
   index_stats_.posting_entries = num_entries;
+  index_stats_.posting_runs = num_runs;
   index_stats_.value_copies = value_copies_;
   index_built_ = true;
 }

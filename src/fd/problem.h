@@ -9,11 +9,19 @@
 // a posting list of k tuples represents its k·(k−1) adjacency edges in O(k)
 // space — no materialized all-pairs edge lists. Connected components of the
 // graph partition the FD computation.
+//
+// Each posting list also records the universal column it posts and its
+// maximal same-table runs of TIDs (BuildInterned numbers TIDs table by
+// table, so a list has at most num_tables() runs). The FD enumerator's
+// extension sweep (ForEachLiveCoPosted) uses both to skip, in one step per
+// run, tuples from tables already in the current set and postings on
+// columns the newest member did not bring into the join.
 #ifndef LAKEFUZZ_FD_PROBLEM_H_
 #define LAKEFUZZ_FD_PROBLEM_H_
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fd/aligned_schema.h"
@@ -38,11 +46,18 @@ struct FdIndexStats {
   size_t distinct_values = 0;   ///< non-null dictionary entries
   size_t posting_lists = 0;     ///< multi-tuple (joinable) posting lists
   size_t posting_entries = 0;   ///< Σ posting-list lengths (CSR size)
+  size_t posting_runs = 0;      ///< Σ same-table runs over posting lists
   /// Value objects copied while constructing + interning the problem. The
   /// legacy Build path pays O(rows × columns) (padded outer-union rows) plus
   /// one copy per distinct value; BuildInterned pays only the distinct
   /// values *new to the session dictionary* — zero on a warm cache.
   size_t value_copies = 0;
+};
+
+/// One maximal run of same-table TIDs inside a posting list.
+struct PostingRun {
+  uint32_t table = 0;   ///< table id of every TID in the run
+  uint32_t length = 0;  ///< number of TIDs in the run
 };
 
 /// A materialized Full Disjunction instance.
@@ -136,6 +151,51 @@ class FdProblem {
     }
   }
 
+  /// The FD enumerator's extension sweep: the ForEachCoPosted entries of
+  /// `tid` restricted to postings whose column c has live_columns[c] set
+  /// and, inside those, to tuples whose table t has used_tables[t] clear.
+  /// A used table's run is skipped whole, so the cost is the entries of
+  /// unused-table runs of live-column postings plus one step per run.
+  /// used_tables[table_id(tid)] must be set — that is what keeps `tid`
+  /// itself out. Requires BuildIndex().
+  template <typename F>
+  void ForEachLiveCoPosted(uint32_t tid, const char* used_tables,
+                           const char* live_columns, F&& fn) const {
+    assert(index_built_);
+    assert(used_tables[table_ids_[tid]]);
+    for (uint64_t k = tuple_offsets_[tid]; k < tuple_offsets_[tid + 1]; ++k) {
+      const uint32_t p = tuple_postings_[k];
+      if (!live_columns[posting_columns_[p]]) continue;
+      uint64_t e = posting_offsets_[p];
+      for (uint64_t r = run_offsets_[p]; r < run_offsets_[p + 1]; ++r) {
+        const PostingRun run = runs_[r];
+        const uint64_t end = e + run.length;
+        if (!used_tables[run.table]) {
+          for (; e < end; ++e) fn(posting_tids_[e]);
+        }
+        e = end;
+      }
+    }
+  }
+
+  /// Universal column posted by posting list `p` (p < posting_lists).
+  /// Requires BuildIndex().
+  uint32_t PostingColumn(uint32_t p) const { return posting_columns_[p]; }
+
+  /// The same-table runs of posting list `p`, in TID order, as
+  /// [first, last). Requires BuildIndex().
+  std::pair<const PostingRun*, const PostingRun*> PostingRuns(
+      uint32_t p) const {
+    return {runs_.data() + run_offsets_[p], runs_.data() + run_offsets_[p + 1]};
+  }
+
+  /// TIDs of posting list `p`, ascending, as [first, last). Requires
+  /// BuildIndex().
+  std::pair<const uint32_t*, const uint32_t*> PostingTids(uint32_t p) const {
+    return {posting_tids_.data() + posting_offsets_[p],
+            posting_tids_.data() + posting_offsets_[p + 1]};
+  }
+
   /// Connected components of the join graph, each a sorted TID list, ordered
   /// by smallest member. Singleton tuples (no joinable partner) form
   /// singleton components. Requires BuildIndex().
@@ -165,10 +225,16 @@ class FdProblem {
   // CSR join graph. Posting lists keep only multi-tuple lists (singletons
   // induce no edges). posting_offsets_ has one extra trailing entry; the
   // TIDs of posting p are posting_tids_[posting_offsets_[p] ..
-  // posting_offsets_[p+1]). tuple_offsets_/tuple_postings_ map each TID to
-  // the posting lists containing it.
+  // posting_offsets_[p+1]). posting_columns_[p] is the universal column p
+  // posts. runs_[run_offsets_[p] .. run_offsets_[p+1]) split p's TIDs into
+  // maximal same-table runs, in order (run_offsets_ has a trailing entry
+  // too). tuple_offsets_/tuple_postings_ map each TID to the posting lists
+  // containing it.
   std::vector<uint64_t> posting_offsets_;
   std::vector<uint32_t> posting_tids_;
+  std::vector<uint32_t> posting_columns_;
+  std::vector<uint64_t> run_offsets_;
+  std::vector<PostingRun> runs_;
   std::vector<uint64_t> tuple_offsets_;
   std::vector<uint32_t> tuple_postings_;
 

@@ -422,6 +422,46 @@ TEST(LakeEngineTest, ParallelEngineMatchesSerialEngine) {
   }
 }
 
+TEST(LakeEngineTest, EmptyAndAllNullTablesIntegrate) {
+  // Edge contract: an empty table and an all-null table integrate cleanly
+  // (their FD problem has zero posting lists and zero runs) — alone, with
+  // each other, and beside a populated table; fuzzy on and off; on a
+  // poolless and a pooled engine. All-null tuples are subsumed by any
+  // other tuple and collapse to one row among themselves.
+  Table empty("empty", Schema::FromNames({"City", "Country"}));
+  Table nulls("nulls", Schema::FromNames({"City", "Country"}));
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(nulls.AppendRow({Value::Null(), Value::Null()}).ok());
+  }
+  const auto populated = SmallIntegrationSet();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->RegisterTable("empty", empty).ok());
+    ASSERT_TRUE((*engine)->RegisterTable("nulls", nulls).ok());
+    ASSERT_TRUE((*engine)->RegisterTable("a", populated[0]).ok());
+    for (bool fuzzy : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " fuzzy "
+                                      << fuzzy);
+      RequestOptions req;
+      req.holistic_alignment = false;
+      req.fuzzy = fuzzy;
+      const std::vector<std::pair<std::vector<std::string>, size_t>> cases =
+          {{{"empty"}, 0}, {{"nulls"}, 1}, {{"empty", "nulls"}, 1},
+           {{"empty", "nulls", "a"}, 2}};
+      for (const auto& [names, rows] : cases) {
+        auto result = (*engine)->Integrate(names, req);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->integrated.NumRows(), rows) << names.size();
+        EXPECT_EQ(result->integrated.NumColumns(), 2u);
+        if (names.size() < 3) {
+          EXPECT_EQ(result->report.fd_stats.posting_lists, 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(LakeEngineTest, RegularFdMode) {
   auto engine = MakeEngineWithSmallSet();
   RequestOptions req;

@@ -1,14 +1,17 @@
 // Tests for the dictionary-encoded FD core: ValueDict interning, the CSR
 // posting-list join graph (validated against a brute-force materialized
 // adjacency), the parallel index build, the non-quadratic memory guarantee,
-// and thread-count invariance of the full pipeline on a corrupted-IMDB
-// fixture.
+// thread-count invariance of the full pipeline on a corrupted-IMDB fixture,
+// the posting columns and same-table runs behind the enumerator's
+// extension sweep, search-tree pins for that sweep, and the empty and
+// all-null table edge contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,10 +21,14 @@
 #include "datagen/imdb.h"
 #include "embedding/model_zoo.h"
 #include "fd/full_disjunction.h"
+#include "fd/oracle.h"
 #include "fd/parallel.h"
 #include "fd/problem.h"
+#include "fd/session_dict.h"
 #include "fd/value_dict.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/str.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -509,6 +516,399 @@ TEST(ThreadInvarianceTest, RegularFdOnCorruptedImdbMatchesSerial) {
     for (size_t i = 0; i < parallel->tuples.size(); ++i) {
       EXPECT_EQ(parallel->tuples[i].values, serial->tuples[i].values);
       EXPECT_EQ(parallel->tuples[i].tids, serial->tuples[i].tids);
+    }
+  }
+}
+
+// ------------------------------------- posting columns and same-table runs
+
+/// `shape.num_tables` tables over one shared column set, for the
+/// BuildInterned path (TIDs numbered table by table).
+std::vector<Table> RandomTables(const IndexShape& shape, Rng* rng) {
+  std::vector<std::string> names;
+  for (size_t c = 0; c < shape.num_columns; ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  std::vector<Table> tables;
+  for (size_t l = 0; l < shape.num_tables; ++l) {
+    Table t("t" + std::to_string(l), Schema::FromNames(names));
+    for (size_t r = 0; r < shape.rows_per_table; ++r) {
+      std::vector<Value> vals(shape.num_columns);
+      for (size_t c = 0; c < shape.num_columns; ++c) {
+        if (rng->Bernoulli(0.35)) continue;  // null
+        vals[c] = Value::String(std::string(
+            1, static_cast<char>('a' + rng->Uniform(shape.value_domain))));
+      }
+      EXPECT_TRUE(t.AppendRow(std::move(vals)).ok());
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+/// The same tuples re-added with table ids drawn per tuple, so one table's
+/// TIDs are scattered through the TID order and posting lists interleave
+/// tables (the relabelling of FullDisjunctionTest.RandomizedOrderInvariance,
+/// pushed further).
+FdProblem InterleavedProblem(const IndexShape& shape, Rng* rng) {
+  FdProblem source = RandomProblem(shape, rng);
+  FdProblem out(source.num_columns(), source.column_names());
+  for (const auto& t : source.tuples()) {
+    const auto table = static_cast<uint32_t>(rng->Uniform(shape.num_tables));
+    EXPECT_TRUE(out.AddTuple(table, t.values).ok());
+  }
+  return out;
+}
+
+/// What the live sweep of `tid` must visit, from the definition: for every
+/// live column c (all of them when `live` is null) on which `tid` is
+/// non-null, each other tuple with the same code on c whose table is not
+/// used — once per column, as ForEachCoPosted visits a tuple once per
+/// shared posting list. Sorted.
+std::vector<uint32_t> ExpectedLiveCoPosted(const FdProblem& problem,
+                                           uint32_t tid,
+                                           const std::vector<char>& used,
+                                           const std::vector<char>* live) {
+  std::vector<uint32_t> out;
+  const uint32_t* row = problem.CodeRow(tid);
+  for (size_t c = 0; c < problem.num_columns(); ++c) {
+    if (row[c] == FdProblem::kNullCode) continue;
+    if (live != nullptr && !(*live)[c]) continue;
+    for (uint32_t u = 0; u < problem.num_tuples(); ++u) {
+      if (u != tid && problem.CodeRow(u)[c] == row[c] &&
+          !used[problem.table_id(u)]) {
+        out.push_back(u);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The index contract of the enumerator's extension sweep: for every TID,
+/// ForEachCoPosted equals the per-column definition, and ForEachLiveCoPosted
+/// under sampled used-table and live-column masks visits exactly the
+/// ForEachCoPosted entries whose table is unmarked and whose posting column
+/// is marked (as a multiset).
+void ExpectLiveSweepContract(const FdProblem& problem, Rng* rng) {
+  const size_t tables = problem.num_tables();
+  const size_t cols = problem.num_columns();
+  for (uint32_t tid = 0; tid < problem.num_tuples(); ++tid) {
+    std::vector<uint32_t> all;
+    problem.ForEachCoPosted(tid, [&](uint32_t u) { all.push_back(u); });
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all, ExpectedLiveCoPosted(problem, tid,
+                                        std::vector<char>(tables, 0),
+                                        nullptr))
+        << "tid " << tid;
+    for (int sample = 0; sample < 6; ++sample) {
+      std::vector<char> used(tables, 0);
+      std::vector<char> live(cols, 0);
+      for (auto& u : used) u = rng->Bernoulli(0.3);
+      used[problem.table_id(tid)] = 1;  // the sweep's precondition
+      // Sample 0 marks every column, as the seed of a search does.
+      for (auto& l : live) l = sample == 0 || rng->Bernoulli(0.5);
+      std::vector<uint32_t> got;
+      problem.ForEachLiveCoPosted(tid, used.data(), live.data(),
+                                  [&](uint32_t u) { got.push_back(u); });
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, ExpectedLiveCoPosted(problem, tid, used, &live))
+          << "tid " << tid << " sample " << sample;
+    }
+  }
+}
+
+/// Every posting's runs are maximal same-table runs covering its TIDs in
+/// order, its column carries one shared code across the list, and the run
+/// count is what index_stats reports. Returns the largest run count of any
+/// posting.
+size_t ExpectRunsWellFormed(const FdProblem& problem) {
+  size_t total_runs = 0;
+  size_t max_runs = 0;
+  for (uint32_t p = 0; p < problem.index_stats().posting_lists; ++p) {
+    const auto [tid_begin, tid_end] = problem.PostingTids(p);
+    const auto [run_begin, run_end] = problem.PostingRuns(p);
+    EXPECT_GE(tid_end - tid_begin, 2);
+    const uint32_t col = problem.PostingColumn(p);
+    EXPECT_LT(col, problem.num_columns());
+    const uint32_t code = problem.CodeRow(*tid_begin)[col];
+    EXPECT_NE(code, FdProblem::kNullCode);
+    const uint32_t* tid = tid_begin;
+    for (const PostingRun* run = run_begin; run != run_end; ++run) {
+      EXPECT_GT(run->length, 0u);
+      if (run != run_begin) {
+        EXPECT_NE(run->table, (run - 1)->table) << p;  // maximal runs
+      }
+      for (uint32_t k = 0; k < run->length; ++k, ++tid) {
+        EXPECT_EQ(problem.table_id(*tid), run->table) << p;
+        EXPECT_EQ(problem.CodeRow(*tid)[col], code) << p;
+      }
+    }
+    EXPECT_EQ(tid, tid_end) << p;
+    total_runs += static_cast<size_t>(run_end - run_begin);
+    max_runs = std::max(max_runs, static_cast<size_t>(run_end - run_begin));
+  }
+  EXPECT_EQ(total_runs, problem.index_stats().posting_runs);
+  return max_runs;
+}
+
+/// Posting lists keyed by (column, code): TIDs and runs. Shard layouts may
+/// number the lists differently; the lists themselves must not differ.
+using PostingsByKey =
+    std::map<std::pair<uint32_t, uint32_t>,
+             std::pair<std::vector<uint32_t>,
+                       std::vector<std::pair<uint32_t, uint32_t>>>>;
+
+PostingsByKey KeyedPostings(const FdProblem& problem) {
+  PostingsByKey out;
+  for (uint32_t p = 0; p < problem.index_stats().posting_lists; ++p) {
+    const auto [tid_begin, tid_end] = problem.PostingTids(p);
+    const auto [run_begin, run_end] = problem.PostingRuns(p);
+    const uint32_t col = problem.PostingColumn(p);
+    auto& entry = out[{col, problem.CodeRow(*tid_begin)[col]}];
+    EXPECT_TRUE(entry.first.empty()) << "posting key listed twice";
+    entry.first.assign(tid_begin, tid_end);
+    for (const PostingRun* run = run_begin; run != run_end; ++run) {
+      entry.second.emplace_back(run->table, run->length);
+    }
+  }
+  return out;
+}
+
+const IndexShape kRunShapes[] = {
+    {2, 4, 3, 2, 101}, {3, 6, 3, 3, 202}, {4, 8, 4, 2, 303},
+    {3, 10, 5, 4, 404}, {5, 5, 4, 6, 505}, {2, 12, 2, 3, 606}};
+
+TEST(PostingRunsTest, InternedLiveSweepMatchesDefinition) {
+  for (const IndexShape& shape : kRunShapes) {
+    Rng rng(shape.seed ^ 0x5eed);
+    for (int trial = 0; trial < 5; ++trial) {
+      const std::vector<Table> tables = RandomTables(shape, &rng);
+      auto aligned = AlignByName(tables);
+      ASSERT_TRUE(aligned.ok());
+      SessionDict dict;
+      auto problem =
+          FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+      ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+      problem->BuildIndex();
+      // Table-by-table TIDs: at most one run per table in any list.
+      EXPECT_LE(ExpectRunsWellFormed(*problem), shape.num_tables);
+      ExpectLiveSweepContract(*problem, &rng);
+    }
+  }
+}
+
+TEST(PostingRunsTest, InterleavedTablesLiveSweepMatchesDefinition) {
+  size_t max_runs = 0;
+  size_t max_tables = 0;
+  for (const IndexShape& shape : kRunShapes) {
+    Rng rng(shape.seed ^ 0x1ea7);
+    for (int trial = 0; trial < 5; ++trial) {
+      FdProblem problem = InterleavedProblem(shape, &rng);
+      problem.BuildIndex();
+      max_runs = std::max(max_runs, ExpectRunsWellFormed(problem));
+      max_tables = std::max<size_t>(max_tables, problem.num_tables());
+      ExpectLiveSweepContract(problem, &rng);
+    }
+  }
+  // Interleaving did split some table into several runs of one list.
+  EXPECT_GT(max_runs, max_tables);
+}
+
+TEST(PostingRunsTest, SerialAndPooledBuildsAgree) {
+  ThreadPool pool(8);
+  // Above PostingShardCount's gate (2^16 cells), so the pooled build scans
+  // three shards concurrently and numbers postings shard by shard.
+  constexpr uint32_t kTuples = 30000;
+  constexpr size_t kCols = 6;
+  std::vector<std::string> names;
+  for (size_t c = 0; c < kCols; ++c) names.push_back("c" + std::to_string(c));
+  FdProblem serial(kCols, names);
+  Rng rng(4242);
+  for (uint32_t i = 0; i < kTuples; ++i) {
+    std::vector<Value> vals(kCols);
+    for (size_t c = 0; c < kCols; ++c) {
+      if (rng.Bernoulli(0.3)) continue;  // null
+      vals[c] = Value::Int(static_cast<int64_t>(rng.Uniform(5000)));
+    }
+    ASSERT_TRUE(
+        serial.AddTuple(static_cast<uint32_t>(rng.Uniform(5)), std::move(vals))
+            .ok());
+  }
+  FdProblem pooled = serial;
+  serial.BuildIndex();
+  pooled.BuildIndex(&pool);
+  EXPECT_EQ(serial.index_stats().posting_runs,
+            pooled.index_stats().posting_runs);
+  EXPECT_GT(serial.index_stats().posting_runs,
+            serial.index_stats().posting_lists);
+  EXPECT_EQ(KeyedPostings(serial), KeyedPostings(pooled));
+
+  // The interned path, small enough for one shard at any pool size: there
+  // the arrays agree index for index.
+  const std::vector<Table> tables = RandomTables({4, 40, 4, 5, 0}, &rng);
+  auto aligned = AlignByName(tables);
+  ASSERT_TRUE(aligned.ok());
+  SessionDict dict;
+  auto a = FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+  auto b = FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+  ASSERT_TRUE(a.ok() && b.ok());
+  a->BuildIndex();
+  b->BuildIndex(&pool);
+  ASSERT_EQ(a->index_stats().posting_lists, b->index_stats().posting_lists);
+  ASSERT_GT(a->index_stats().posting_lists, 0u);
+  for (uint32_t p = 0; p < a->index_stats().posting_lists; ++p) {
+    EXPECT_EQ(a->PostingColumn(p), b->PostingColumn(p)) << p;
+    const auto [ra, ra_end] = a->PostingRuns(p);
+    const auto [rb, rb_end] = b->PostingRuns(p);
+    ASSERT_EQ(ra_end - ra, rb_end - rb) << p;
+    for (ptrdiff_t r = 0; r < ra_end - ra; ++r) {
+      EXPECT_EQ(ra[r].table, rb[r].table) << p;
+      EXPECT_EQ(ra[r].length, rb[r].length) << p;
+    }
+  }
+  EXPECT_EQ(KeyedPostings(*a), KeyedPostings(*b));
+}
+
+// ---------------------------------------------------------- search-tree pins
+
+/// The bench_fd_skew shape at 1,600 tuples: four tables whose every tuple
+/// shares the value "hub", a key column with seeded typos that splits
+/// consistency, and a per-table payload column. One join component.
+std::vector<Table> SkewHubLake() {
+  Rng rng(20260730);
+  CorruptionConfig config;
+  config.typo = 1.0;
+  std::vector<Table> tables;
+  for (size_t l = 0; l < 4; ++l) {
+    Table t("t" + std::to_string(l),
+            Schema::FromNames({"key", "hub", "p" + std::to_string(l)}));
+    for (size_t k = 0; k < 200; ++k) {
+      for (size_t r = 0; r < 2; ++r) {
+        std::string key = StrFormat("key_%05zu", k);
+        if (rng.Bernoulli(0.15)) key = Corrupt(&rng, key, config);
+        EXPECT_TRUE(t.AppendRow({Value::String(std::move(key)),
+                                 Value::String("hub"),
+                                 Value::String(StrFormat("v%zu_%zu_%zu", l,
+                                                         k, r))})
+                        .ok());
+      }
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+/// Order-sensitive fingerprint of an FD result: every tuple's values (type
+/// and text) and TIDs, in output order.
+uint64_t ResultFingerprint(const std::vector<FdResultTuple>& tuples) {
+  uint64_t h = Fnv1a64("fd-result");
+  for (const FdResultTuple& t : tuples) {
+    for (const Value& v : t.values) {
+      h = HashCombine(h, static_cast<uint64_t>(v.type()));
+      h = HashCombine(h, Fnv1a64(v.ToString()));
+    }
+    for (uint32_t tid : t.tids) h = HashCombine(h, tid);
+    h = HashCombine(h, t.tids.size());
+  }
+  return h;
+}
+
+struct PinnedRun {
+  uint64_t search_nodes;
+  size_t tuples;
+  uint64_t fingerprint;
+};
+
+PinnedRun RunPinned(const std::vector<Table>& tables, bool interned,
+                    ThreadPool* pool) {
+  auto aligned = AlignByName(tables);
+  EXPECT_TRUE(aligned.ok());
+  SessionDict dict;
+  auto problem = interned ? FdProblem::BuildInterned(BorrowTables(tables),
+                                                     *aligned, &dict)
+                          : FdProblem::Build(tables, *aligned);
+  EXPECT_TRUE(problem.ok());
+  auto result = FullDisjunction(FdOptions(), pool).Run(&problem.value());
+  EXPECT_TRUE(result.ok());
+  return {result->stats.search_nodes, result->tuples.size(),
+          ResultFingerprint(result->tuples)};
+}
+
+// The search tree and the output of two seeded instances, pinned to the
+// values of the full-sweep enumerator (before postings were filtered by
+// table run and flipped column). A candidate filter may only drop
+// candidates that cannot extend the set: the branch-and-exclude tree, and
+// so search_nodes and the output bytes, must not move.
+TEST(SearchTreePinTest, SkewHubShapeAtEveryPoolSize) {
+  const std::vector<Table> tables = SkewHubLake();
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
+    const PinnedRun run = RunPinned(tables, /*interned=*/false, p);
+    EXPECT_EQ(run.search_nodes, 11483u);
+    EXPECT_EQ(run.tuples, 2138u);
+    EXPECT_EQ(run.fingerprint, 0x8224d98e671bcb6fULL);
+  }
+}
+
+TEST(SearchTreePinTest, Imdb2000AtEveryPoolSize) {
+  ImdbOptions gen;
+  gen.target_tuples = 2000;
+  const std::vector<Table> tables = GenerateImdb(gen).tables;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "no pool" : "4-thread pool");
+    const PinnedRun run = RunPinned(tables, /*interned=*/true, p);
+    EXPECT_EQ(run.search_nodes, 23982u);
+    EXPECT_EQ(run.tuples, 1597u);
+    EXPECT_EQ(run.fingerprint, 0x26f92da379a2d2f6ULL);
+  }
+}
+
+// ------------------------------------------------------------ edge contracts
+
+// An empty table and an all-null table post nothing: the index has zero
+// posting lists and zero runs, every tuple is its own component, and FD
+// still answers — checked against the brute-force oracle. Runs under the
+// ASan/UBSan suites like everything else here.
+TEST(FdEdgeContractTest, EmptyAndAllNullTablesBuildAndRun) {
+  Table empty("empty", Schema::FromNames({"a", "b"}));
+  Table nulls("nulls", Schema::FromNames({"a", "b"}));
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(nulls.AppendRow({Value::Null(), Value::Null()}).ok());
+  }
+  const std::vector<std::vector<const Table*>> cases = {
+      {&empty}, {&nulls}, {&empty, &nulls}, {&nulls, &empty}};
+  ThreadPool pool(2);
+  for (const auto& tables : cases) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto aligned = AlignByName(tables);
+      ASSERT_TRUE(aligned.ok());
+      SessionDict dict;
+      auto problem = FdProblem::BuildInterned(tables, *aligned, &dict);
+      ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+      const size_t rows = tables.size() == 1 && tables[0] == &empty ? 0 : 3;
+      ASSERT_EQ(problem->num_tuples(), rows);
+      FdStats stats;
+      auto codes = FullDisjunction(FdOptions(), p).RunCodes(&*problem,
+                                                            &stats);
+      ASSERT_TRUE(codes.ok()) << codes.status().ToString();
+      EXPECT_EQ(problem->index_stats().posting_lists, 0u);
+      EXPECT_EQ(problem->index_stats().posting_entries, 0u);
+      EXPECT_EQ(problem->index_stats().posting_runs, 0u);
+      EXPECT_EQ(problem->Components().size(), rows);
+      EXPECT_EQ(stats.num_components, rows);
+      // The oracle reads padded tuples, so it runs on the legacy build.
+      auto padded = FdProblem::Build(tables, *aligned);
+      ASSERT_TRUE(padded.ok());
+      auto oracle = NaiveFdOracle(*padded);
+      ASSERT_TRUE(oracle.ok());
+      ASSERT_EQ(codes->size(), oracle->size());
+      for (size_t i = 0; i < codes->size(); ++i) {
+        EXPECT_EQ(DecodeCodeTuple((*codes)[i], problem->dict()),
+                  (*oracle)[i]);
+      }
     }
   }
 }
