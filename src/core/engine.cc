@@ -777,31 +777,14 @@ Result<PipelineResult> LakeEngine::Integrate(
   if (!prepared.ok()) return finish(prepared.status());
   PreparedRequest prep = std::move(prepared).value();
   FuzzyFdReport report;
-  Result<FdResult> fd = Status::Internal("unreachable");
-  if (request.fuzzy) {
-    fd = FuzzyFullDisjunction(prep.effective)
-             .RunToTuples(prep.tables, prep.aligned, &report);
-  } else {
-    fd = RegularFdBaseline(prep.tables, prep.aligned, prep.effective.fd,
-                           prep.effective.parallel,
-                           prep.effective.num_threads, &report,
-                           prep.effective.pool, prep.effective.context,
-                           prep.effective.progress,
-                           prep.effective.session_dict);
-  }
-  if (!fd.ok()) return finish(fd.status());
+  Result<Table> integrated =
+      request.fuzzy ? FuzzyFullDisjunction(prep.effective)
+                          .Run(prep.tables, prep.aligned, &report)
+                    : RegularFdToTable(prep.tables, prep.aligned,
+                                       prep.effective, &report);
+  if (!integrated.ok()) return finish(integrated.status());
   report.align_seconds = prep.align_seconds;
-
-  ReportProgress(request.progress, Stage::kEmit, 0, 1);
-  ScopedSpan emit_span(ctx, "emit");
-  emit_span.AddAttr("tuples", static_cast<int64_t>(fd->tuples.size()));
-  Table integrated = FdResultsToTable(
-      fd->tuples, prep.aligned.universal_names,
-      request.fuzzy ? "fuzzy_full_disjunction" : "full_disjunction",
-      request.include_provenance);
-  emit_span.End();
-  ReportProgress(request.progress, Stage::kEmit, 1, 1);
-  return finish(PipelineResult{std::move(integrated),
+  return finish(PipelineResult{std::move(integrated).value(),
                                std::move(prep.aligned), report,
                                prep.align_seconds});
 }

@@ -116,16 +116,54 @@ Result<FdStage> RunFdStage(const TableList& tables,
                  std::move(owned_pool), pool};
 }
 
-/// Decodes an FD stage's full code set into an FdResult (the
-/// materializing consumers' shared epilogue).
-FdResult DecodeStage(const FdStage& stage, ThreadPool* pool) {
-  FdResult result;
-  result.stats = stage.stats;
-  result.tuples.resize(stage.codes.size());
-  MaybeParallelFor(pool, stage.codes.size(), [&](size_t i) {
-    result.tuples[i] = DecodeCodeTuple(stage.codes[i], stage.problem.dict());
-  });
-  return result;
+/// The FD stage of the materializing consumers, bracketed by the "fd" span
+/// and report->fd_seconds. With `decoded` set, the full result is decoded
+/// into it inside both (the tuple-returning entry points time their decode
+/// as FD work); the table-returning ones decode later, in EmitTable.
+Result<FdStage> RunTimedFdStage(const TableList& tables,
+                                const AlignedSchema& aligned,
+                                const FuzzyFdOptions& options,
+                                FuzzyFdReport* report, FdResult* decoded) {
+  ScopedSpan fd_span(options.context, "fd");
+  const RequestContext fd_ctx = options.context.WithSpan(fd_span.id());
+  Stopwatch fd_watch;
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      FdStage stage,
+      RunFdStage(tables, aligned, options.fd, options.parallel,
+                 options.num_threads, options.pool, options.session_dict,
+                 fd_ctx, options.progress, report));
+  if (decoded != nullptr) {
+    decoded->stats = stage.stats;
+    decoded->tuples.resize(stage.codes.size());
+    MaybeParallelFor(stage.pool, stage.codes.size(), [&](size_t i) {
+      decoded->tuples[i] =
+          DecodeCodeTuple(stage.codes[i], stage.problem.dict());
+    });
+  }
+  fd_span.AddAttr("results", static_cast<int64_t>(stage.codes.size()));
+  fd_span.AddAttr("search_nodes",
+                  static_cast<int64_t>(stage.stats.search_nodes));
+  fd_span.AddAttr("components",
+                  static_cast<int64_t>(stage.stats.num_components));
+  fd_span.End();
+  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
+  return stage;
+}
+
+/// The emit stage of the table-returning consumers: the surviving code rows
+/// decode straight into the output table's columns, on the stage's pool,
+/// inside the "emit" span and the kEmit progress stage.
+Table EmitTable(const FdStage& stage, const AlignedSchema& aligned,
+                const std::string& table_name, const FuzzyFdOptions& options) {
+  ReportProgress(options.progress, Stage::kEmit, 0, 1);
+  ScopedSpan emit_span(options.context, "emit");
+  emit_span.AddAttr("tuples", static_cast<int64_t>(stage.codes.size()));
+  Table out = FdCodesToTable(stage.codes, stage.problem.dict(),
+                             aligned.universal_names, table_name,
+                             options.include_provenance, stage.pool);
+  emit_span.End();
+  ReportProgress(options.progress, Stage::kEmit, 1, 1);
+  return out;
 }
 
 /// Shared argument guard of the streaming entry points, cheap enough to
@@ -465,22 +503,9 @@ Result<FdResult> FuzzyFullDisjunction::RunToTuples(
     FuzzyFdReport* report) const {
   LAKEFUZZ_ASSIGN_OR_RETURN(RewrittenSet set,
                             RewriteCore(options_, tables, aligned, report));
-  ScopedSpan fd_span(options_.context, "fd");
-  const RequestContext fd_ctx = options_.context.WithSpan(fd_span.id());
-  Stopwatch fd_watch;
-  LAKEFUZZ_ASSIGN_OR_RETURN(
-      FdStage stage,
-      RunFdStage(set.list, aligned, options_.fd, options_.parallel,
-                 options_.num_threads, options_.pool, options_.session_dict,
-                 fd_ctx, options_.progress, report));
-  FdResult result = DecodeStage(stage, stage.pool);
-  fd_span.AddAttr("results", static_cast<int64_t>(result.tuples.size()));
-  fd_span.AddAttr("search_nodes",
-                  static_cast<int64_t>(stage.stats.search_nodes));
-  fd_span.AddAttr("components",
-                  static_cast<int64_t>(stage.stats.num_components));
-  fd_span.End();
-  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
+  FdResult result;
+  LAKEFUZZ_RETURN_IF_ERROR(
+      RunTimedFdStage(set.list, aligned, options_, report, &result).status());
   return result;
 }
 
@@ -493,11 +518,12 @@ Result<FdResult> FuzzyFullDisjunction::RunToTuples(
 Result<Table> FuzzyFullDisjunction::Run(const TableList& tables,
                                         const AlignedSchema& aligned,
                                         FuzzyFdReport* report) const {
-  LAKEFUZZ_ASSIGN_OR_RETURN(FdResult result,
-                            RunToTuples(tables, aligned, report));
-  return FdResultsToTable(result.tuples, aligned.universal_names,
-                          "fuzzy_full_disjunction",
-                          options_.include_provenance);
+  LAKEFUZZ_ASSIGN_OR_RETURN(RewrittenSet set,
+                            RewriteCore(options_, tables, aligned, report));
+  LAKEFUZZ_ASSIGN_OR_RETURN(
+      FdStage stage,
+      RunTimedFdStage(set.list, aligned, options_, report, nullptr));
+  return EmitTable(stage, aligned, "fuzzy_full_disjunction", options_);
 }
 
 Result<Table> FuzzyFullDisjunction::Run(const std::vector<Table>& tables,
@@ -526,18 +552,28 @@ Result<FdResult> RegularFdBaseline(const TableList& tables,
                                    const RequestContext& ctx,
                                    const ProgressFn& progress,
                                    SessionDict* session_dict) {
-  ScopedSpan fd_span(ctx, "fd");
-  const RequestContext fd_ctx = ctx.WithSpan(fd_span.id());
-  Stopwatch fd_watch;
+  FuzzyFdOptions options;
+  options.fd = fd_options;
+  options.parallel = parallel;
+  options.num_threads = num_threads;
+  options.pool = pool;
+  options.session_dict = session_dict;
+  options.context = ctx;
+  options.progress = progress;
+  FdResult result;
+  LAKEFUZZ_RETURN_IF_ERROR(
+      RunTimedFdStage(tables, aligned, options, report, &result).status());
+  return result;
+}
+
+Result<Table> RegularFdToTable(const TableList& tables,
+                               const AlignedSchema& aligned,
+                               const FuzzyFdOptions& options,
+                               FuzzyFdReport* report) {
   LAKEFUZZ_ASSIGN_OR_RETURN(
       FdStage stage,
-      RunFdStage(tables, aligned, fd_options, parallel, num_threads, pool,
-                 session_dict, fd_ctx, progress, report));
-  FdResult result = DecodeStage(stage, stage.pool);
-  fd_span.AddAttr("results", static_cast<int64_t>(result.tuples.size()));
-  fd_span.End();
-  if (report != nullptr) report->fd_seconds = fd_watch.ElapsedSeconds();
-  return result;
+      RunTimedFdStage(tables, aligned, options, report, nullptr));
+  return EmitTable(stage, aligned, "full_disjunction", options);
 }
 
 Result<FdResult> RegularFdBaseline(const std::vector<Table>& tables,

@@ -111,7 +111,9 @@ class FuzzyFullDisjunction {
                                            const AlignedSchema& aligned,
                                            FuzzyFdReport* report) const;
 
-  /// Full pipeline; returns the integrated table.
+  /// Full pipeline; returns the integrated table. The surviving interned
+  /// rows decode straight into its columns (FdCodesToTable) in a kEmit
+  /// stage and "emit" span after the FD stage.
   Result<Table> Run(const TableList& tables, const AlignedSchema& aligned,
                     FuzzyFdReport* report = nullptr) const;
   Result<Table> Run(const std::vector<Table>& tables,
@@ -161,6 +163,15 @@ Result<FdResult> RegularFdBaseline(const std::vector<Table>& tables,
                                    const FdOptions& fd_options,
                                    bool parallel, size_t num_threads,
                                    FuzzyFdReport* report);
+
+/// Regular FD straight to the integrated "full_disjunction" table, the
+/// non-fuzzy twin of FuzzyFullDisjunction::Run: `options` supplies the FD,
+/// pool, session and request settings and include_provenance; its matcher
+/// settings are unused.
+Result<Table> RegularFdToTable(const TableList& tables,
+                               const AlignedSchema& aligned,
+                               const FuzzyFdOptions& options,
+                               FuzzyFdReport* report = nullptr);
 
 /// Streaming twin of RegularFdBaseline (see RunToBatches for the batch
 /// contract). Returns the number of tuples emitted.

@@ -22,6 +22,7 @@ struct FdResultTuple {
   }
 };
 
+class ThreadPool;
 class ValueDict;
 
 /// Interned twin of FdResultTuple: one dictionary code per universal column
@@ -56,6 +57,16 @@ Table FdResultsToTable(const std::vector<FdResultTuple>& results,
                        const std::vector<std::string>& column_names,
                        const std::string& table_name,
                        bool include_provenance = false);
+
+/// Columnar twin of FdResultsToTable over interned rows: each cell is
+/// decoded through `dict` once, straight into its output column, and the
+/// columns fill in parallel on `pool` when given. Equals FdResultsToTable
+/// over the decoded tuples.
+Table FdCodesToTable(const std::vector<FdCodeTuple>& rows,
+                     const ValueDict& dict,
+                     const std::vector<std::string>& column_names,
+                     const std::string& table_name, bool include_provenance,
+                     ThreadPool* pool = nullptr);
 
 }  // namespace lakefuzz
 

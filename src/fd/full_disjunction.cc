@@ -1045,7 +1045,7 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   Stopwatch subsume_watch;
   LAKEFUZZ_ASSIGN_OR_RETURN(
       code_tuples,
-      EliminateSubsumedCodes(std::move(code_tuples), pool, &subsume_ctx));
+      EliminateSubsumedCodes(std::move(code_tuples), &subsume_ctx));
   subsume_span.AddAttr("results", static_cast<int64_t>(code_tuples.size()));
   subsume_span.End();
   stats->subsumption_seconds = subsume_watch.ElapsedSeconds();
@@ -1084,9 +1084,11 @@ Result<Table> FullDisjunction::RunToTable(const std::vector<Table>& tables,
                                           bool include_provenance) const {
   LAKEFUZZ_ASSIGN_OR_RETURN(FdProblem problem,
                             FdProblem::Build(tables, aligned));
-  LAKEFUZZ_ASSIGN_OR_RETURN(FdResult result, Run(&problem));
-  return FdResultsToTable(result.tuples, problem.column_names(),
-                          "full_disjunction", include_provenance);
+  FdStats stats;
+  LAKEFUZZ_ASSIGN_OR_RETURN(std::vector<FdCodeTuple> code_tuples,
+                            RunCodes(&problem, &stats));
+  return FdCodesToTable(code_tuples, problem.dict(), problem.column_names(),
+                        "full_disjunction", include_provenance, pool_);
 }
 
 }  // namespace lakefuzz

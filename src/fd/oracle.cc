@@ -8,18 +8,18 @@ namespace lakefuzz {
 namespace {
 
 /// Join-consistency of a subset: every column has at most one distinct
-/// non-null value. Fills `merged` on success.
+/// non-null code. Fills `merged` on success.
 bool SubsetConsistent(const FdProblem& problem,
                       const std::vector<uint32_t>& subset,
-                      std::vector<Value>* merged) {
-  merged->assign(problem.num_columns(), Value::Null());
+                      std::vector<uint32_t>* merged) {
+  merged->assign(problem.num_columns(), FdProblem::kNullCode);
   for (uint32_t tid : subset) {
-    const auto& vals = problem.tuples()[tid].values;
+    const uint32_t* row = problem.CodeRow(tid);
     for (size_t c = 0; c < problem.num_columns(); ++c) {
-      if (vals[c].is_null()) continue;
-      if ((*merged)[c].is_null()) {
-        (*merged)[c] = vals[c];
-      } else if (!((*merged)[c] == vals[c])) {
+      if (row[c] == FdProblem::kNullCode) continue;
+      if ((*merged)[c] == FdProblem::kNullCode) {
+        (*merged)[c] = row[c];
+      } else if ((*merged)[c] != row[c]) {
         return false;
       }
     }
@@ -32,10 +32,10 @@ bool SubsetConnected(const FdProblem& problem,
                      const std::vector<uint32_t>& subset) {
   if (subset.size() <= 1) return true;
   auto share_value = [&](uint32_t a, uint32_t b) {
-    const auto& va = problem.tuples()[a].values;
-    const auto& vb = problem.tuples()[b].values;
+    const uint32_t* ra = problem.CodeRow(a);
+    const uint32_t* rb = problem.CodeRow(b);
     for (size_t c = 0; c < problem.num_columns(); ++c) {
-      if (!va[c].is_null() && !vb[c].is_null() && va[c] == vb[c]) return true;
+      if (ra[c] != FdProblem::kNullCode && ra[c] == rb[c]) return true;
     }
     return false;
   };
@@ -59,15 +59,19 @@ bool SubsetConnected(const FdProblem& problem,
 
 }  // namespace
 
-Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& problem,
+Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& input,
                                                  size_t max_tuples) {
-  const size_t n = problem.num_tuples();
+  const size_t n = input.num_tuples();
   if (n > max_tuples) {
     return Status::InvalidArgument(
         StrFormat("oracle limited to %zu tuples, got %zu", max_tuples, n));
   }
+  // Code rows and the decoding dictionary exist once the index is built;
+  // a private copy keeps the caller's problem untouched.
+  FdProblem problem = input;
+  problem.BuildIndex();
   std::vector<FdResultTuple> results;
-  std::vector<Value> merged;
+  std::vector<uint32_t> merged;
   for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
     std::vector<uint32_t> subset;
     for (size_t i = 0; i < n; ++i) {
@@ -77,8 +81,7 @@ Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& problem,
     bool table_repeat = false;
     for (size_t i = 0; i < subset.size() && !table_repeat; ++i) {
       for (size_t j = i + 1; j < subset.size(); ++j) {
-        if (problem.tuples()[subset[i]].table_id ==
-            problem.tuples()[subset[j]].table_id) {
+        if (problem.table_id(subset[i]) == problem.table_id(subset[j])) {
           table_repeat = true;
           break;
         }
@@ -87,10 +90,8 @@ Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& problem,
     if (table_repeat) continue;
     if (!SubsetConsistent(problem, subset, &merged)) continue;
     if (!SubsetConnected(problem, subset)) continue;
-    FdResultTuple t;
-    t.values = merged;
-    t.tids = subset;
-    results.push_back(std::move(t));
+    results.push_back(
+        DecodeCodeTuple(FdCodeTuple{merged, subset}, problem.dict()));
   }
   return EliminateSubsumed(std::move(results));
 }

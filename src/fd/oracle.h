@@ -12,7 +12,9 @@
 
 namespace lakefuzz {
 
-/// Computes FD by subset enumeration. Rejects instances with more than
+/// Computes FD by subset enumeration over the problem's code rows, decoded
+/// through its dictionary — so it serves Build and BuildInterned problems
+/// alike, index built or not. Rejects instances with more than
 /// `max_tuples` input tuples (default 20 ⇒ ~1M subsets).
 Result<std::vector<FdResultTuple>> NaiveFdOracle(const FdProblem& problem,
                                                  size_t max_tuples = 20);

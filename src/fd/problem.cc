@@ -1,17 +1,28 @@
 #include "fd/problem.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
 
-#include "fd/posting_shards.h"
+#include "fd/posting_lists.h"
 #include "fd/session_dict.h"
-#include "util/hash.h"
 #include "util/str.h"
 #include "util/thread_pool.h"
 #include "util/union_find.h"
 
 namespace lakefuzz {
+namespace {
+
+/// Distinct non-null codes among `codes`, through a key table sized to the
+/// distinct codes: O(cells), however large the dictionary the codes came
+/// from.
+size_t CountDistinctCodes(const std::vector<uint32_t>& codes) {
+  DenseKeyIds ids;
+  for (uint32_t code : codes) {
+    if (code != FdProblem::kNullCode) ids.Intern(code);
+  }
+  return ids.size();
+}
+
+}  // namespace
 
 Result<FdProblem> FdProblem::Build(const TableList& tables,
                                    const AlignedSchema& aligned) {
@@ -143,120 +154,63 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
     codes_ready_ = true;
   }
 
-  // ---- Phase 3: sharded posting maps over (column, code) integer keys
-  // (fd/posting_shards.h). Singleton lists are then dropped — they induce
-  // no join edges — and each shard counts the same-table runs of the lists
-  // it keeps.
-  std::vector<PostingShard> shard = BuildPostingShards(
-      pool, n, cols,
-      [this, cols](uint32_t tid) {
-        return codes_.data() + static_cast<size_t>(tid) * cols;
+  // ---- Phase 3: (column, code) posting lists (fd/posting_lists.h).
+  // Singleton lists are dropped — they induce no join edges.
+  PostingLists lists = BuildPostingLists(
+      n, cols, 2, [this, cols](size_t tid) {
+        return codes_.data() + tid * cols;
       });
-  const size_t shards = shard.size();
-  std::vector<size_t> shard_runs(shards, 0);
-  MaybeParallelFor(pool, shards, [&](size_t s) {
-    auto& lists = shard[s].lists;
-    auto& columns = shard[s].columns;
-    shard[s].index.clear();
-    size_t kept = 0;
-    size_t runs = 0;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      const auto& lst = lists[i];
-      if (lst.size() < 2) continue;
-      ++runs;
-      for (size_t j = 1; j < lst.size(); ++j) {
-        runs += table_ids_[lst[j]] != table_ids_[lst[j - 1]];
-      }
-      if (kept != i) {
-        lists[kept] = std::move(lists[i]);
-        columns[kept] = columns[i];
-      }
-      ++kept;
-    }
-    lists.resize(kept);
-    columns.resize(kept);
-    shard_runs[s] = runs;
-  });
+  const size_t num_postings = lists.num_lists();
+  const size_t num_entries = lists.rows.size();
+  posting_offsets_ = std::move(lists.offsets);
+  posting_tids_ = std::move(lists.rows);
+  posting_columns_ = std::move(lists.columns);
 
-  // ---- Phase 4: CSR posting arrays (TIDs, columns, same-table runs) +
-  // union-find component merge. Shards write disjoint ranges; the parallel
-  // path merges through a lock-free union-find, the serial path through an
-  // iterative union-by-rank one.
-  std::vector<size_t> posting_base(shards + 1, 0);
-  std::vector<size_t> entry_base(shards + 1, 0);
-  std::vector<size_t> run_base(shards + 1, 0);
-  for (size_t s = 0; s < shards; ++s) {
-    size_t entries = 0;
-    for (const auto& lst : shard[s].lists) entries += lst.size();
-    posting_base[s + 1] = posting_base[s] + shard[s].lists.size();
-    entry_base[s + 1] = entry_base[s] + entries;
-    run_base[s + 1] = run_base[s] + shard_runs[s];
-  }
-  const size_t num_postings = posting_base[shards];
-  const size_t num_entries = entry_base[shards];
-  const size_t num_runs = run_base[shards];
-  posting_offsets_.assign(num_postings + 1, 0);
-  posting_offsets_[num_postings] = num_entries;
-  posting_tids_.assign(num_entries, 0);
-  posting_columns_.assign(num_postings, 0);
+  // ---- Phase 4: same-table runs and the union-find component merge, one
+  // pass over the posting entries.
+  UnionFind uf(n);
   run_offsets_.assign(num_postings + 1, 0);
-  run_offsets_[num_postings] = num_runs;
-  runs_.assign(num_runs, PostingRun{});
-
-  auto fill_shard = [&](size_t s, auto& union_find) {
-    size_t p = posting_base[s];
-    size_t e = entry_base[s];
-    size_t r = run_base[s];
-    for (size_t l = 0; l < shard[s].lists.size(); ++l) {
-      const auto& lst = shard[s].lists[l];
-      posting_offsets_[p] = e;
-      posting_columns_[p] = shard[s].columns[l];
-      run_offsets_[p] = r;
-      ++p;
-      for (size_t i = 0; i < lst.size(); ++i) {
-        posting_tids_[e++] = lst[i];
-        const uint32_t table = table_ids_[lst[i]];
-        if (i == 0 || runs_[r - 1].table != table) runs_[r++].table = table;
-        ++runs_[r - 1].length;
-        if (i > 0) union_find.Union(lst[0], lst[i]);
-      }
-    }
-  };
-  std::vector<uint32_t> root(n);
-  if (pool != nullptr && shards > 1) {
-    AtomicUnionFind uf(n);
-    pool->ParallelFor(shards, [&](size_t s) { fill_shard(s, uf); });
-    for (uint32_t i = 0; i < n; ++i) root[i] = uf.Find(i);
-  } else {
-    UnionFind uf(n);
-    for (size_t s = 0; s < shards; ++s) fill_shard(s, uf);
-    for (uint32_t i = 0; i < n; ++i) root[i] = uf.Find(i);
-  }
-  shard.clear();
-
-  // ---- Phase 5: tuple → posting-list CSR (counting sort over the flat
-  // posting entries; deterministic and O(entries)).
-  tuple_offsets_.assign(n + 1, 0);
-  for (size_t e = 0; e < num_entries; ++e) {
-    ++tuple_offsets_[posting_tids_[e] + 1];
-  }
-  for (size_t i = 0; i < n; ++i) tuple_offsets_[i + 1] += tuple_offsets_[i];
-  tuple_postings_.assign(num_entries, 0);
-  std::vector<uint64_t> cursor(tuple_offsets_.begin(),
-                               tuple_offsets_.end() - 1);
+  runs_.clear();
   for (size_t p = 0; p < num_postings; ++p) {
-    for (uint64_t e = posting_offsets_[p]; e < posting_offsets_[p + 1]; ++e) {
-      tuple_postings_[cursor[posting_tids_[e]]++] = static_cast<uint32_t>(p);
+    run_offsets_[p] = runs_.size();
+    const uint64_t begin = posting_offsets_[p];
+    for (uint64_t e = begin; e < posting_offsets_[p + 1]; ++e) {
+      const uint32_t tid = posting_tids_[e];
+      const uint32_t table = table_ids_[tid];
+      if (e == begin || runs_.back().table != table) {
+        runs_.push_back(PostingRun{table, 0});
+      }
+      ++runs_.back().length;
+      if (e != begin) uf.Union(posting_tids_[begin], tid);
     }
   }
+  const size_t num_runs = runs_.size();
+  run_offsets_[num_postings] = num_runs;
+
+  // ---- Phase 5: tuple → posting-list CSR from the per-cell list ids, each
+  // tuple's lists in ascending id order.
+  tuple_offsets_.assign(n + 1, 0);
+  tuple_postings_.clear();
+  tuple_postings_.reserve(num_entries);
+  for (uint32_t tid = 0; tid < n; ++tid) {
+    const uint32_t* cell =
+        lists.cell_list.data() + static_cast<size_t>(tid) * cols;
+    for (size_t c = 0; c < cols; ++c) {
+      if (cell[c] != PostingLists::kNoList) tuple_postings_.push_back(cell[c]);
+    }
+    std::sort(tuple_postings_.begin() + tuple_offsets_[tid],
+              tuple_postings_.end());
+    tuple_offsets_[tid + 1] = tuple_postings_.size();
+  }
+  lists = PostingLists();
 
   // ---- Phase 6: components, grouped by union-find root. Iterating TIDs in
   // order makes every component sorted and the component list ordered by
-  // smallest member, independent of shard count or thread schedule.
+  // smallest member.
   components_.clear();
   std::vector<uint32_t> comp_of_root(n, UINT32_MAX);
   for (uint32_t tid = 0; tid < n; ++tid) {
-    uint32_t& slot = comp_of_root[root[tid]];
+    uint32_t& slot = comp_of_root[uf.Find(tid)];
     if (slot == UINT32_MAX) {
       slot = static_cast<uint32_t>(components_.size());
       components_.emplace_back();
@@ -264,21 +218,12 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
     components_[slot].push_back(tid);
   }
 
-  if (external_dict_ == nullptr) {
-    index_stats_.distinct_values = dict_.NumDistinct();
-  } else {
-    // Session dictionary: its size covers the whole session, not this
-    // problem. Count the codes actually present so the stat keeps
-    // describing the problem it is attached to.
-    std::vector<char> seen(external_dict_->NumDistinct() + 1, 0);
-    size_t distinct = 0;
-    for (uint32_t code : codes_) {
-      if (code == kNullCode || seen[code]) continue;
-      seen[code] = 1;
-      ++distinct;
-    }
-    index_stats_.distinct_values = distinct;
-  }
+  // The session dictionary's size covers the whole session, not this
+  // problem: count the codes actually present so the stat keeps describing
+  // the problem it is attached to.
+  index_stats_.distinct_values = external_dict_ == nullptr
+                                     ? dict_.NumDistinct()
+                                     : CountDistinctCodes(codes_);
   index_stats_.posting_lists = num_postings;
   index_stats_.posting_entries = num_entries;
   index_stats_.posting_runs = num_runs;

@@ -106,11 +106,12 @@ class FdProblem {
   /// directly). `values` must have num_columns() entries.
   Status AddTuple(uint32_t table_id, std::vector<Value> values);
 
-  /// Builds the value dictionary, interned code rows, CSR posting lists,
-  /// and components. Idempotent. When `pool` is non-null the cell-hashing,
-  /// posting-shard, and union-find phases run on it; results are identical
-  /// to the serial build. BuildInterned problems skip the hash + intern
-  /// phases entirely (their code rows already exist).
+  /// Builds the value dictionary, interned code rows, CSR posting lists
+  /// (fd/posting_lists.h), and components. Idempotent. When `pool` is
+  /// non-null the cell-hashing phase of legacy Build problems runs on it;
+  /// the rest is serial, so results never depend on it. BuildInterned
+  /// problems skip the hash + intern phases entirely (their code rows
+  /// already exist).
   void BuildIndex(ThreadPool* pool = nullptr);
   bool index_built() const { return index_built_; }
 

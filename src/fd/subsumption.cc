@@ -1,14 +1,13 @@
 #include "fd/subsumption.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
+#include <charconv>
 #include <unordered_map>
+#include <utility>
 
-#include "fd/posting_shards.h"
+#include "fd/posting_lists.h"
 #include "fd/value_dict.h"
 #include "util/hash.h"
-#include "util/str.h"
 #include "util/thread_pool.h"
 
 namespace lakefuzz {
@@ -47,32 +46,81 @@ bool FdTupleLess(const FdResultTuple& a, const FdResultTuple& b) {
   return a.values.size() < b.values.size();
 }
 
+namespace {
+
+/// Output schema names: the "TIDs" provenance column first when asked for.
+std::vector<std::string> OutputNames(
+    const std::vector<std::string>& column_names, bool include_provenance) {
+  std::vector<std::string> names;
+  if (include_provenance) names.push_back("TIDs");
+  names.insert(names.end(), column_names.begin(), column_names.end());
+  return names;
+}
+
+/// Renders a provenance set as "{t0,t3}".
+Value ProvenanceValue(const std::vector<uint32_t>& tids) {
+  std::string prov;
+  prov.reserve(2 + tids.size() * 7);
+  prov += '{';
+  char digits[16];
+  for (size_t i = 0; i < tids.size(); ++i) {
+    if (i > 0) prov += ',';
+    prov += 't';
+    const auto end = std::to_chars(digits, digits + sizeof(digits), tids[i]);
+    prov.append(digits, end.ptr);
+  }
+  prov += '}';
+  return Value::String(std::move(prov));
+}
+
+}  // namespace
+
 Table FdResultsToTable(const std::vector<FdResultTuple>& results,
                        const std::vector<std::string>& column_names,
                        const std::string& table_name,
                        bool include_provenance) {
-  std::vector<std::string> names;
-  if (include_provenance) names.push_back("TIDs");
-  names.insert(names.end(), column_names.begin(), column_names.end());
+  const std::vector<std::string> names =
+      OutputNames(column_names, include_provenance);
   Table out(table_name, Schema::FromNames(names));
   for (const auto& r : results) {
     std::vector<Value> row;
     row.reserve(names.size());
-    if (include_provenance) {
-      std::string prov = "{";
-      for (size_t i = 0; i < r.tids.size(); ++i) {
-        if (i > 0) prov += ",";
-        prov += StrFormat("t%u", r.tids[i]);
-      }
-      prov += "}";
-      row.push_back(Value::String(std::move(prov)));
-    }
+    if (include_provenance) row.push_back(ProvenanceValue(r.tids));
     row.insert(row.end(), r.values.begin(), r.values.end());
     Status s = out.AppendRow(std::move(row));
     assert(s.ok());
     (void)s;
   }
   return out;
+}
+
+Table FdCodesToTable(const std::vector<FdCodeTuple>& rows,
+                     const ValueDict& dict,
+                     const std::vector<std::string>& column_names,
+                     const std::string& table_name, bool include_provenance,
+                     ThreadPool* pool) {
+  const std::vector<std::string> names =
+      OutputNames(column_names, include_provenance);
+  const size_t lead = include_provenance ? 1 : 0;
+  std::vector<std::vector<Value>> columns(names.size());
+  MaybeParallelFor(pool, columns.size(), [&](size_t k) {
+    std::vector<Value>& column = columns[k];
+    column.reserve(rows.size());
+    if (k < lead) {
+      for (const FdCodeTuple& r : rows) {
+        column.push_back(ProvenanceValue(r.tids));
+      }
+    } else {
+      for (const FdCodeTuple& r : rows) {
+        column.push_back(dict.Decode(r.codes[k - lead]));
+      }
+    }
+  });
+  Result<Table> out =
+      Table::FromColumns(table_name, Schema::FromNames(names),
+                         std::move(columns), rows.size());
+  assert(out.ok());
+  return std::move(out).value();
 }
 
 namespace {
@@ -185,7 +233,7 @@ uint64_t CodesSignature(const FdCodeTuple& t) {
   uint64_t h = 0x5ca1ab1e;
   for (size_t c = 0; c < t.codes.size(); ++c) {
     if (t.codes[c] == ValueDict::kNullCode) continue;
-    h = HashCombine(h, HashCombine(Mix64(c), Mix64(t.codes[c])));
+    h = Mix64(h ^ ((static_cast<uint64_t>(c) << 32) | t.codes[c]));
   }
   return h;
 }
@@ -203,131 +251,143 @@ bool SubsumesCodes(const FdCodeTuple& b, const FdCodeTuple& a) {
 }  // namespace
 
 Result<std::vector<FdCodeTuple>> EliminateSubsumedCodes(
-    std::vector<FdCodeTuple> tuples, ThreadPool* pool,
-    const RequestContext* ctx) {
+    std::vector<FdCodeTuple> tuples, const RequestContext* ctx) {
   const size_t n = tuples.size();
   if (n == 0) return tuples;
-
-  // Cancel/deadline checkpoints: parallel passes flag a stop at amortized
-  // intervals and drain as no-ops (a lambda cannot early-return the loop);
-  // the typed status is re-derived between passes on the driving thread.
-  std::atomic<bool> stop_flag{false};
-  auto stopped = [&](size_t i) {
-    if (ctx == nullptr) return false;
-    if ((i & 0xfff) == 0 && !ctx->CheckStop("subsumption").ok()) {
-      stop_flag.store(true, std::memory_order_relaxed);
-    }
-    return stop_flag.load(std::memory_order_relaxed);
-  };
-  auto check_stop = [&]() {
-    return ctx == nullptr ? Status::OK() : ctx->CheckStop("subsumption");
+  // Cancel/deadline checkpoint, polled every 4096 tuples of each pass.
+  auto check_stop = [ctx](size_t i) {
+    return ctx == nullptr || (i & 0xfff) != 0 ? Status::OK()
+                                              : ctx->CheckStop("subsumption");
   };
 
-  // Signatures and non-null counts are pure per tuple → parallel.
-  std::vector<uint64_t> sig(n);
-  std::vector<uint32_t> nn(n);
-  MaybeParallelFor(pool, n, [&](size_t i) {
-    if (stopped(i)) return;
-    sig[i] = CodesSignature(tuples[i]);
-    uint32_t count = 0;
-    for (uint32_t code : tuples[i].codes) {
-      count += code != ValueDict::kNullCode;
-    }
-    nn[i] = count;
-  });
-  LAKEFUZZ_RETURN_IF_ERROR(check_stop());
-
-  // Pass 1 (serial): collapse exact duplicates (same codes). The survivor —
-  // most complete provenance, then lexicographically smallest TIDs — is a
-  // running maximum under a total preference, so it does not depend on the
-  // order the executors appended results in.
+  // Pass 1: collapse exact duplicates (same codes). The survivor — most
+  // complete provenance, then lexicographically smallest TIDs — is a running
+  // maximum under a total preference, so it does not depend on the order
+  // the executor appended results in.
   auto prefer = [](const FdCodeTuple& a, const FdCodeTuple& b) {
     if (a.tids.size() != b.tids.size()) {
       return a.tids.size() > b.tids.size();
     }
     return a.tids < b.tids;
   };
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_sig;
-  by_sig.reserve(n);
+  // Rows are found by signature in an open-addressing table; a slot heads
+  // the chain (through next_same_sig) of the distinct rows sharing it.
+  constexpr uint32_t kNone = UINT32_MAX;
+  struct SigSlot {
+    uint64_t sig;
+    uint32_t head;  ///< kNone marks an empty slot
+  };
+  size_t capacity = 16;
+  while (capacity < 2 * n) capacity <<= 1;
+  const size_t mask = capacity - 1;
+  std::vector<SigSlot> by_sig(capacity, SigSlot{0, kNone});
+  std::vector<uint32_t> next_same_sig(n, kNone);
   std::vector<char> dead(n, 0);
+  std::vector<uint32_t> nn(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if ((i & 0xfff) == 0) LAKEFUZZ_RETURN_IF_ERROR(check_stop());
-    auto& bucket = by_sig[sig[i]];
-    bool merged = false;
-    for (uint32_t j : bucket) {
+    LAKEFUZZ_RETURN_IF_ERROR(check_stop(i));
+    uint32_t count = 0;
+    for (uint32_t code : tuples[i].codes) {
+      count += code != ValueDict::kNullCode;
+    }
+    nn[i] = count;
+    const uint64_t sig = CodesSignature(tuples[i]);
+    size_t h = sig & mask;
+    while (by_sig[h].head != kNone && by_sig[h].sig != sig) h = (h + 1) & mask;
+    SigSlot& slot = by_sig[h];
+    for (uint32_t j = slot.head; j != kNone; j = next_same_sig[j]) {
       if (tuples[j].codes == tuples[i].codes) {
-        // nn/sig depend only on codes, so the swap keeps them consistent.
+        // nn depends only on codes, so the swap keeps it consistent.
         if (prefer(tuples[i], tuples[j])) std::swap(tuples[i], tuples[j]);
         dead[i] = 1;
-        merged = true;
         break;
       }
     }
-    if (!merged) bucket.push_back(i);
+    if (dead[i]) continue;
+    slot.sig = sig;
+    next_same_sig[i] = slot.head;
+    slot.head = i;
   }
 
-  // Pass 2: sharded posting lists over live tuples, keyed by (column, code)
-  // (fd/posting_shards.h).
+  // Pass 2: posting lists over live tuples, keyed by (column, code)
+  // (fd/posting_lists.h). Single-tuple lists are dropped: a tuple holding a
+  // value no other live tuple holds has no subsumer.
   const size_t cols = tuples[0].codes.size();
-  std::vector<PostingShard> shard = BuildPostingShards(
-      pool, n, cols, [&](uint32_t i) -> const uint32_t* {
+  const PostingLists lists = BuildPostingLists(
+      n, cols, 2, [&](size_t i) -> const uint32_t* {
         return dead[i] ? nullptr : tuples[i].codes.data();
       });
-  const size_t shards = shard.size();
-  LAKEFUZZ_RETURN_IF_ERROR(check_stop());
+  LAKEFUZZ_RETURN_IF_ERROR(check_stop(0));
 
   // Pass 3: each tuple checks only the tuples sharing its rarest non-null
-  // (column, code). Runs against the pass-1 snapshot of `dead`, which gives
-  // the same survivor set as the sequential in-place version: any subsumer
-  // that is itself subsumed is subsumed by a strictly-more-complete live
-  // tuple appearing in the same posting lists, so reachability of a live
-  // subsumer is order-independent.
+  // (column, code), read from its cells' list ids. Runs against the pass-1
+  // snapshot of `dead`, which gives the same survivor set as updating it in
+  // place: any subsumer that is itself subsumed is subsumed by a
+  // strictly-more-complete live tuple appearing in the same posting lists,
+  // so reachability of a live subsumer is order-independent.
   size_t live_count = 0;
   for (size_t i = 0; i < n; ++i) live_count += !dead[i];
   std::vector<char> dead_out = dead;
-  MaybeParallelFor(pool, n, [&](size_t i) {
-    if (stopped(i) || dead[i]) return;
+  for (size_t i = 0; i < n; ++i) {
+    LAKEFUZZ_RETURN_IF_ERROR(check_stop(i));
+    if (dead[i]) continue;
     const uint32_t nn_i = nn[i];
     if (nn_i == 0) {
       // All-null tuple: subsumed by any *other* tuple (vacuously); survives
       // only when it is the sole live tuple. Pass 1 collapsed all-null
       // duplicates to one, so live_count > 1 means a distinct tuple exists.
       if (live_count > 1) dead_out[i] = 1;
-      return;
+      continue;
     }
-    const auto& codes = tuples[i].codes;
-    const std::vector<uint32_t>* best = nullptr;
-    for (size_t c = 0; c < codes.size(); ++c) {
+    const uint32_t* codes = tuples[i].codes.data();
+    const uint32_t* cell = lists.cell_list.data() + i * cols;
+    uint32_t best = PostingLists::kNoList;
+    bool unique_value = false;
+    for (size_t c = 0; c < cols && !unique_value; ++c) {
       if (codes[c] == ValueDict::kNullCode) continue;
-      const uint64_t key = PostingKey(c, codes[c]);
-      const PostingShard& sh = shard[PostingShardOf(key, shards)];
-      const auto& lst = sh.lists[sh.index.find(key)->second];
-      if (best == nullptr || lst.size() < best->size()) best = &lst;
+      if (cell[c] == PostingLists::kNoList) {
+        unique_value = true;
+      } else if (best == PostingLists::kNoList ||
+                 lists.ListSize(cell[c]) < lists.ListSize(best)) {
+        best = cell[c];
+      }
     }
-    for (uint32_t j : *best) {
-      if (j == i || dead[j]) continue;
+    if (unique_value) continue;
+    for (uint64_t e = lists.offsets[best]; e < lists.offsets[best + 1]; ++e) {
+      const uint32_t j = lists.rows[e];
+      if (j == i) continue;
       if (nn[j] <= nn_i) continue;  // equal ⇒ duplicate, handled in pass 1
       if (SubsumesCodes(tuples[j], tuples[i])) {
         dead_out[i] = 1;
         break;
       }
     }
-  });
-
-  LAKEFUZZ_RETURN_IF_ERROR(check_stop());
+  }
 
   // Surviving FD tuples never share a TID set (values are a function of the
   // member set, and identical code rows were collapsed in pass 1), so TID
   // order alone is total — and matches FdTupleLess on the decoded tuples.
-  std::vector<FdCodeTuple> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!dead_out[i]) out.push_back(std::move(tuples[i]));
+  // The survivors sort by a key packing their first two TIDs, which agrees
+  // with lexicographic TID order wherever it differs; ties compare in full.
+  std::vector<std::pair<uint64_t, uint32_t>> order;
+  order.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (dead_out[i]) continue;
+    const std::vector<uint32_t>& tids = tuples[i].tids;
+    uint64_t key = 0;
+    if (!tids.empty()) key = static_cast<uint64_t>(tids[0]) << 32;
+    if (tids.size() > 1) key += static_cast<uint64_t>(tids[1]) + 1;
+    order.emplace_back(key, i);
   }
-  std::sort(out.begin(), out.end(),
-            [](const FdCodeTuple& a, const FdCodeTuple& b) {
-              return a.tids < b.tids;
+  std::sort(order.begin(), order.end(),
+            [&tuples](const std::pair<uint64_t, uint32_t>& a,
+                      const std::pair<uint64_t, uint32_t>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return tuples[a.second].tids < tuples[b.second].tids;
             });
+  std::vector<FdCodeTuple> out;
+  out.reserve(order.size());
+  for (const auto& [key, i] : order) out.push_back(std::move(tuples[i]));
   return out;
 }
 

@@ -15,8 +15,6 @@
 
 namespace lakefuzz {
 
-class ThreadPool;
-
 /// Removes subsumed and duplicate tuples. Output is sorted by FdTupleLess.
 ///
 /// Complexity: near-linear via (column, value) posting lists — a tuple can
@@ -25,21 +23,19 @@ class ThreadPool;
 std::vector<FdResultTuple> EliminateSubsumed(
     std::vector<FdResultTuple> tuples);
 
-/// Interned-code twin of EliminateSubsumed — the FD executors' hot path.
+/// Interned-code twin of EliminateSubsumed — the FD executor's hot path.
 /// Same algorithm and identical output (modulo decoding), but comparisons
-/// and posting keys are flat uint32 codes, and the posting-list bucketing
-/// plus the per-tuple subsumption scans run on `pool` when provided
-/// (results are independent of the thread count). Output is sorted by TID
-/// list, which is a total order here: distinct surviving FD tuples never
-/// share a TID set.
+/// and posting keys are flat uint32 codes and the posting lists come from
+/// the flat kernel (fd/posting_lists.h). Output is sorted by TID list,
+/// which is a total order here: distinct surviving FD tuples never share a
+/// TID set.
 ///
 /// When `ctx` is non-null its cancel token and deadline are polled at
 /// amortized checkpoints inside every pass; a stop surfaces as
 /// kCancelled / kDeadlineExceeded (subsumption has no partial output — the
 /// caller decides whether that truncates the request).
 Result<std::vector<FdCodeTuple>> EliminateSubsumedCodes(
-    std::vector<FdCodeTuple> tuples, ThreadPool* pool = nullptr,
-    const RequestContext* ctx = nullptr);
+    std::vector<FdCodeTuple> tuples, const RequestContext* ctx = nullptr);
 
 }  // namespace lakefuzz
 

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/engine.h"
+#include "core/fuzzy_fd.h"
 #include "core/pipeline.h"
 #include "datagen/imdb.h"
 #include "table/csv.h"
@@ -456,6 +457,96 @@ TEST(LakeEngineTest, EmptyAndAllNullTablesIntegrate) {
         EXPECT_EQ(result->integrated.NumColumns(), 2u);
         if (names.size() < 3) {
           EXPECT_EQ(result->report.fd_stats.posting_lists, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(LakeEngineTest, ColumnarEmitMatchesDecodedTuples) {
+  // Integrate decodes the surviving code rows straight into the output
+  // columns. Its table must equal FdResultsToTable over the tuples of
+  // RunToTuples (fuzzy) or RegularFdBaseline (regular), byte for byte:
+  // provenance on and off, an empty result, and a max_result_tuples cut;
+  // on a poolless and a pooled engine.
+  ImdbOptions gen;
+  gen.target_tuples = 400;
+  const ImdbBenchmark bench = GenerateImdb(gen);
+  std::vector<Table> tables = bench.tables;
+  for (Table& t : SmallIntegrationSet()) tables.push_back(std::move(t));
+  tables.emplace_back("empty", Schema::FromNames({"City", "Country"}));
+  std::vector<std::string> imdb_names;
+  for (const auto& t : bench.tables) imdb_names.push_back(t.name());
+  const std::vector<std::vector<std::string>> name_sets = {
+      imdb_names, {"a", "b"}, {"empty"}};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto engine = LakeEngine::Create(EngineOptions().SetNumThreads(threads));
+    ASSERT_TRUE(engine.ok());
+    for (const Table& t : tables) {
+      ASSERT_TRUE((*engine)->RegisterTable(t.name(), t).ok());
+    }
+    for (const auto& names : name_sets) {
+      TableList inputs;
+      for (const std::string& name : names) {
+        for (const Table& t : tables) {
+          if (t.name() == name) inputs.push_back(&t);
+        }
+      }
+      for (int mode = 0; mode < 8; ++mode) {
+        const bool fuzzy = mode & 1;
+        const bool provenance = mode & 2;
+        const bool truncate = mode & 4;
+        SCOPED_TRACE(testing::Message()
+                     << "threads " << threads << " tables " << names.size()
+                     << " fuzzy " << fuzzy << " provenance " << provenance
+                     << " truncate " << truncate);
+        RequestOptions req;
+        req.holistic_alignment = false;
+        req.fuzzy = fuzzy;
+        req.include_provenance = provenance;
+        if (truncate) {
+          req.budget.max_result_tuples = 2;
+          req.budget_policy = BudgetPolicy::kTruncate;
+        }
+        auto got = (*engine)->Integrate(names, req);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+        RequestContext ctx;
+        ctx.budget = req.budget;
+        ctx.policy = req.budget_policy;
+        Result<FdResult> tuples = Status::Internal("unset");
+        if (fuzzy) {
+          FuzzyFdOptions opts;
+          opts.matcher.model = (*engine)->model();
+          opts.context = ctx;
+          tuples = FuzzyFullDisjunction(opts).RunToTuples(inputs, got->aligned);
+        } else {
+          tuples = RegularFdBaseline(inputs, got->aligned, FdOptions(), false,
+                                     0, nullptr, nullptr, ctx);
+        }
+        ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+        const Table expected = FdResultsToTable(
+            tuples->tuples, got->aligned.universal_names,
+            fuzzy ? "fuzzy_full_disjunction" : "full_disjunction",
+            provenance);
+        EXPECT_EQ(got->integrated.name(), expected.name());
+        ExpectTablesIdentical(got->integrated, expected);
+        for (size_t r = 0; r < expected.NumRows(); ++r) {
+          for (size_t c = 0; c < expected.NumColumns(); ++c) {
+            ASSERT_EQ(got->integrated.At(r, c).type(),
+                      expected.At(r, c).type());
+            ASSERT_EQ(got->integrated.At(r, c).ToString(),
+                      expected.At(r, c).ToString());
+          }
+        }
+        if (names.size() == 1) {
+          EXPECT_EQ(got->integrated.NumRows(), 0u);
+        }
+        if (truncate) {
+          EXPECT_LE(got->integrated.NumRows(), 2u);
+          if (names.size() > 1) {
+            EXPECT_TRUE(got->report.truncation.truncated);
+          }
         }
       }
     }

@@ -23,6 +23,7 @@
 #include "fd/full_disjunction.h"
 #include "fd/oracle.h"
 #include "fd/parallel.h"
+#include "fd/posting_lists.h"
 #include "fd/problem.h"
 #include "fd/session_dict.h"
 #include "fd/value_dict.h"
@@ -325,14 +326,148 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.value_domain);
     });
 
-// --------------------------------------------------- multi-shard at scale
+// ------------------------------------------------ flat posting-list kernel
 
-TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
-  // Above PostingShardCount's gate (2^16 cells) the pooled build takes the
-  // truly sharded path: concurrent posting-map scans, AtomicUnionFind
-  // merge, parallel CSR range fill. 30k tuples × 6 columns = 180k cells →
-  // 3 shards with an 8-thread pool. Everything observable must equal the
-  // serial build.
+/// One posting list of the std::map reference.
+struct RefList {
+  uint32_t column = 0;
+  uint32_t code = 0;
+  std::vector<uint32_t> rows;
+};
+
+/// std::map reference of BuildPostingLists: the (column, code) lists over
+/// the rows not skipped, numbered by first occurrence in row-major order,
+/// rows ascending, lists below `min_size` rows dropped.
+std::vector<RefList> ReferencePostingLists(
+    size_t num_rows, size_t cols, size_t min_size,
+    const std::function<const uint32_t*(size_t)>& row) {
+  std::map<std::pair<uint32_t, uint32_t>, size_t> index;
+  std::vector<RefList> all;
+  for (size_t i = 0; i < num_rows; ++i) {
+    const uint32_t* r = row(i);
+    if (r == nullptr) continue;
+    for (size_t c = 0; c < cols; ++c) {
+      if (r[c] == ValueDict::kNullCode) continue;
+      const auto key = std::make_pair(static_cast<uint32_t>(c), r[c]);
+      auto [it, inserted] = index.emplace(key, all.size());
+      if (inserted) all.push_back(RefList{key.first, key.second, {}});
+      all[it->second].rows.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::vector<RefList> kept;
+  for (RefList& list : all) {
+    if (list.rows.size() >= min_size) kept.push_back(std::move(list));
+  }
+  return kept;
+}
+
+/// BuildPostingLists against the reference: same lists in the same order,
+/// same columns, same ascending rows, and every cell names its own list
+/// (kNoList where null, skipped, or dropped).
+void ExpectPostingListsMatchReference(
+    size_t num_rows, size_t cols, size_t min_size,
+    const std::function<const uint32_t*(size_t)>& row) {
+  const PostingLists lists = BuildPostingLists(num_rows, cols, min_size, row);
+  const std::vector<RefList> ref =
+      ReferencePostingLists(num_rows, cols, min_size, row);
+  ASSERT_EQ(lists.num_lists(), ref.size());
+  ASSERT_EQ(lists.offsets.size(), ref.size() + 1);
+  ASSERT_EQ(lists.offsets.back(), lists.rows.size());
+  ASSERT_EQ(lists.cell_list.size(), num_rows * cols);
+  std::map<std::pair<uint32_t, uint32_t>, uint32_t> id_of;
+  for (uint32_t l = 0; l < ref.size(); ++l) {
+    EXPECT_EQ(lists.columns[l], ref[l].column) << l;
+    ASSERT_EQ(lists.ListSize(l), ref[l].rows.size()) << l;
+    EXPECT_TRUE(std::equal(ref[l].rows.begin(), ref[l].rows.end(),
+                           lists.rows.begin() + lists.offsets[l]))
+        << l;
+    id_of[{ref[l].column, ref[l].code}] = l;
+  }
+  for (size_t i = 0; i < num_rows; ++i) {
+    const uint32_t* r = row(i);
+    for (size_t c = 0; c < cols; ++c) {
+      uint32_t expected = PostingLists::kNoList;
+      if (r != nullptr && r[c] != ValueDict::kNullCode) {
+        auto it = id_of.find({static_cast<uint32_t>(c), r[c]});
+        if (it != id_of.end()) expected = it->second;
+      }
+      EXPECT_EQ(lists.cell_list[i * cols + c], expected)
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
+TEST(PostingListsTest, MatchesMapReferenceOnRandomRows) {
+  // Nulls, skipped rows, every column drawing from one code domain (so one
+  // code posts in several columns), and 0- and 1-row inputs.
+  Rng rng(0x9057);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_rows =
+        trial % 10 == 0 ? 0 : trial % 10 == 1 ? 1 : 1 + rng.Uniform(80);
+    const size_t cols = 1 + rng.Uniform(5);
+    const uint64_t domain = 1 + rng.Uniform(9);
+    std::vector<std::vector<uint32_t>> rows(num_rows);
+    std::vector<char> skip(num_rows, 0);
+    for (size_t i = 0; i < num_rows; ++i) {
+      skip[i] = rng.Bernoulli(0.15);
+      for (size_t c = 0; c < cols; ++c) {
+        rows[i].push_back(rng.Bernoulli(0.3)
+                              ? ValueDict::kNullCode
+                              : 1 + static_cast<uint32_t>(rng.Uniform(domain)));
+      }
+    }
+    auto row = [&](size_t i) -> const uint32_t* {
+      return skip[i] ? nullptr : rows[i].data();
+    };
+    for (size_t min_size : {size_t{1}, size_t{2}, size_t{3}}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " min_size "
+                                      << min_size);
+      ExpectPostingListsMatchReference(num_rows, cols, min_size, row);
+    }
+  }
+}
+
+TEST(PostingListsTest, OneCodeInSeveralColumnsPostsOncePerColumn) {
+  const std::vector<std::vector<uint32_t>> rows = {
+      {5, 5, 0}, {0, 7, 5}, {5, 0, 5}};
+  const PostingLists lists = BuildPostingLists(
+      rows.size(), 3, 1, [&](size_t i) { return rows[i].data(); });
+  // First occurrence, row-major: (0,5) (1,5) (1,7) (2,5).
+  EXPECT_EQ(lists.columns, (std::vector<uint32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(lists.offsets, (std::vector<uint64_t>{0, 2, 3, 4, 6}));
+  EXPECT_EQ(lists.rows, (std::vector<uint32_t>{0, 2, 0, 1, 1, 2}));
+  constexpr uint32_t kNo = PostingLists::kNoList;
+  EXPECT_EQ(lists.cell_list,
+            (std::vector<uint32_t>{0, 1, kNo, kNo, 2, 3, 0, kNo, 3}));
+}
+
+size_t ExpectRunsWellFormed(const FdProblem& problem);
+
+/// The CSR postings of a built problem against the reference over its code
+/// rows: posting p is reference list p (singletons dropped), and its runs
+/// are well formed.
+void ExpectPostingsMatchReference(const FdProblem& problem) {
+  const std::vector<RefList> ref = ReferencePostingLists(
+      problem.num_tuples(), problem.num_columns(), 2,
+      [&](size_t tid) { return problem.CodeRow(static_cast<uint32_t>(tid)); });
+  ASSERT_EQ(problem.index_stats().posting_lists, ref.size());
+  size_t entries = 0;
+  for (uint32_t p = 0; p < ref.size(); ++p) {
+    EXPECT_EQ(problem.PostingColumn(p), ref[p].column) << p;
+    const auto [tid_begin, tid_end] = problem.PostingTids(p);
+    ASSERT_EQ(std::vector<uint32_t>(tid_begin, tid_end), ref[p].rows) << p;
+    entries += ref[p].rows.size();
+  }
+  EXPECT_EQ(problem.index_stats().posting_entries, entries);
+  ExpectRunsWellFormed(problem);
+}
+
+// ---------------------------------------------------------- index at scale
+
+TEST(CsrIndexLargeTest, PooledBuildMatchesReference) {
+  // 30k tuples × 6 columns = 180k cells. The serial and pooled builds (the
+  // pool only hashes cells before interning) must both equal the reference
+  // postings, and each other in everything observable.
   constexpr uint32_t kTuples = 30000;
   constexpr size_t kCols = 6;
   std::vector<std::string> names;
@@ -353,10 +488,10 @@ TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
   ThreadPool pool(8);
   parallel.BuildIndex(&pool);
   EXPECT_GT(serial.index_stats().posting_entries, size_t{1} << 16);
-  EXPECT_EQ(serial.index_stats().posting_lists,
-            parallel.index_stats().posting_lists);
-  EXPECT_EQ(serial.index_stats().posting_entries,
-            parallel.index_stats().posting_entries);
+  ExpectPostingsMatchReference(serial);
+  ExpectPostingsMatchReference(parallel);
+  EXPECT_EQ(serial.index_stats().posting_runs,
+            parallel.index_stats().posting_runs);
   EXPECT_EQ(serial.index_stats().distinct_values,
             parallel.index_stats().distinct_values);
   ASSERT_EQ(serial.Components(), parallel.Components());
@@ -370,13 +505,32 @@ TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
   }
 }
 
-TEST(CsrIndexShardedTest, LargeSubsumptionShardedMatchesSerial) {
-  // Same gate for EliminateSubsumedCodes: 24k tuples × 6 columns keeps the
-  // pooled run on the multi-shard posting path. Codes are drawn from a
-  // small domain with frequent nulls so duplicates and genuine subsumption
-  // chains both occur.
+/// Decodes code tuples through `dict` (EliminateSubsumed's input form).
+std::vector<FdResultTuple> DecodeAll(const std::vector<FdCodeTuple>& tuples,
+                                     const ValueDict& dict) {
+  std::vector<FdResultTuple> out;
+  for (const FdCodeTuple& t : tuples) out.push_back(DecodeCodeTuple(t, dict));
+  return out;
+}
+
+/// EliminateSubsumedCodes against EliminateSubsumed on the decoded tuples:
+/// the same survivors, values and TIDs, in the same order.
+void ExpectSubsumptionMatchesDecoded(const std::vector<FdCodeTuple>& tuples,
+                                     const ValueDict& dict) {
+  auto codes = EliminateSubsumedCodes(tuples);
+  ASSERT_TRUE(codes.ok()) << codes.status().ToString();
+  const std::vector<FdResultTuple> expected =
+      EliminateSubsumed(DecodeAll(tuples, dict));
+  ASSERT_EQ(DecodeAll(*codes, dict), expected);
+}
+
+TEST(CsrIndexLargeTest, SubsumptionMatchesDecodedReference) {
+  // 24k tuples × 6 columns; codes from a small domain with frequent nulls
+  // so duplicates and genuine subsumption chains both occur.
   constexpr uint32_t kTuples = 24000;
   constexpr size_t kCols = 6;
+  ValueDict dict;
+  for (uint32_t i = 0; i < 40; ++i) ASSERT_EQ(dict.Intern(NthValue(i)), i + 1);
   Rng rng(888);
   std::vector<FdCodeTuple> tuples(kTuples);
   for (uint32_t i = 0; i < kTuples; ++i) {
@@ -387,20 +541,50 @@ TEST(CsrIndexShardedTest, LargeSubsumptionShardedMatchesSerial) {
     }
     tuples[i].tids = {i};
   }
-  auto serial = EliminateSubsumedCodes(tuples);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ThreadPool pool(8);
-  auto parallel = EliminateSubsumedCodes(tuples, &pool);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_GT(serial->size(), 0u);
-  ASSERT_LT(serial->size(), static_cast<size_t>(kTuples));  // some eliminated
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (size_t i = 0; i < serial->size(); ++i) {
-    ASSERT_EQ((*serial)[i], (*parallel)[i]) << i;
+  auto survivors = EliminateSubsumedCodes(tuples);
+  ASSERT_TRUE(survivors.ok()) << survivors.status().ToString();
+  ASSERT_GT(survivors->size(), 0u);
+  ASSERT_LT(survivors->size(), static_cast<size_t>(kTuples));  // some dropped
+  ExpectSubsumptionMatchesDecoded(tuples, dict);
+}
+
+TEST(CsrIndexLargeTest, SubsumptionMatchesDecodedOnDuplicatesAndAllNulls) {
+  // Tiny random sets with injected exact duplicates (differing provenance)
+  // and all-null rows. Every TID set is distinct: {i} plus extras >= n.
+  ValueDict dict;
+  for (uint32_t i = 0; i < 4; ++i) ASSERT_EQ(dict.Intern(NthValue(i)), i + 1);
+  Rng rng(0x5b5);
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(30));
+    const size_t cols = 1 + rng.Uniform(4);
+    std::vector<FdCodeTuple> tuples(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      FdCodeTuple& t = tuples[i];
+      if (i > 0 && rng.Bernoulli(0.25)) {
+        t.codes = tuples[rng.Uniform(i)].codes;  // exact duplicate
+      } else if (rng.Bernoulli(0.1)) {
+        t.codes.assign(cols, ValueDict::kNullCode);  // all-null
+      } else {
+        for (size_t c = 0; c < cols; ++c) {
+          t.codes.push_back(rng.Bernoulli(0.4)
+                                ? ValueDict::kNullCode
+                                : 1 + static_cast<uint32_t>(rng.Uniform(4)));
+        }
+      }
+      t.tids = {i};
+      const uint64_t extras = rng.Uniform(3);
+      for (uint64_t extra = 0; extra < extras; ++extra) {
+        t.tids.push_back(n + static_cast<uint32_t>(rng.Uniform(8)));
+      }
+      std::sort(t.tids.begin(), t.tids.end());
+      t.tids.erase(std::unique(t.tids.begin(), t.tids.end()), t.tids.end());
+    }
+    SCOPED_TRACE(trial);
+    ExpectSubsumptionMatchesDecoded(tuples, dict);
   }
 }
 
-TEST(CsrIndexShardedTest, EliminateSubsumedCodesAllNullTuples) {
+TEST(CsrIndexLargeTest, EliminateSubsumedCodesAllNullTuples) {
   // Mirrors SubsumptionTest.AllNullTuples on the code path: all-null
   // duplicates collapse to one survivor; any non-null tuple eliminates it.
   auto make = [](std::vector<uint32_t> codes, uint32_t tid) {
@@ -652,29 +836,6 @@ size_t ExpectRunsWellFormed(const FdProblem& problem) {
   return max_runs;
 }
 
-/// Posting lists keyed by (column, code): TIDs and runs. Shard layouts may
-/// number the lists differently; the lists themselves must not differ.
-using PostingsByKey =
-    std::map<std::pair<uint32_t, uint32_t>,
-             std::pair<std::vector<uint32_t>,
-                       std::vector<std::pair<uint32_t, uint32_t>>>>;
-
-PostingsByKey KeyedPostings(const FdProblem& problem) {
-  PostingsByKey out;
-  for (uint32_t p = 0; p < problem.index_stats().posting_lists; ++p) {
-    const auto [tid_begin, tid_end] = problem.PostingTids(p);
-    const auto [run_begin, run_end] = problem.PostingRuns(p);
-    const uint32_t col = problem.PostingColumn(p);
-    auto& entry = out[{col, problem.CodeRow(*tid_begin)[col]}];
-    EXPECT_TRUE(entry.first.empty()) << "posting key listed twice";
-    entry.first.assign(tid_begin, tid_end);
-    for (const PostingRun* run = run_begin; run != run_end; ++run) {
-      entry.second.emplace_back(run->table, run->length);
-    }
-  }
-  return out;
-}
-
 const IndexShape kRunShapes[] = {
     {2, 4, 3, 2, 101}, {3, 6, 3, 3, 202}, {4, 8, 4, 2, 303},
     {3, 10, 5, 4, 404}, {5, 5, 4, 6, 505}, {2, 12, 2, 3, 606}};
@@ -717,8 +878,9 @@ TEST(PostingRunsTest, InterleavedTablesLiveSweepMatchesDefinition) {
 
 TEST(PostingRunsTest, SerialAndPooledBuildsAgree) {
   ThreadPool pool(8);
-  // Above PostingShardCount's gate (2^16 cells), so the pooled build scans
-  // three shards concurrently and numbers postings shard by shard.
+  // 30k tuples × 6 columns with tables interleaved, so lists split into
+  // several runs per table. Both builds must equal the reference postings
+  // list for list.
   constexpr uint32_t kTuples = 30000;
   constexpr size_t kCols = 6;
   std::vector<std::string> names;
@@ -742,10 +904,10 @@ TEST(PostingRunsTest, SerialAndPooledBuildsAgree) {
             pooled.index_stats().posting_runs);
   EXPECT_GT(serial.index_stats().posting_runs,
             serial.index_stats().posting_lists);
-  EXPECT_EQ(KeyedPostings(serial), KeyedPostings(pooled));
+  ExpectPostingsMatchReference(serial);
+  ExpectPostingsMatchReference(pooled);
 
-  // The interned path, small enough for one shard at any pool size: there
-  // the arrays agree index for index.
+  // The interned path: the arrays agree index for index, runs included.
   const std::vector<Table> tables = RandomTables({4, 40, 4, 5, 0}, &rng);
   auto aligned = AlignByName(tables);
   ASSERT_TRUE(aligned.ok());
@@ -755,10 +917,11 @@ TEST(PostingRunsTest, SerialAndPooledBuildsAgree) {
   ASSERT_TRUE(a.ok() && b.ok());
   a->BuildIndex();
   b->BuildIndex(&pool);
-  ASSERT_EQ(a->index_stats().posting_lists, b->index_stats().posting_lists);
   ASSERT_GT(a->index_stats().posting_lists, 0u);
+  ExpectPostingsMatchReference(*a);
+  ExpectPostingsMatchReference(*b);
+  ASSERT_EQ(a->index_stats().posting_lists, b->index_stats().posting_lists);
   for (uint32_t p = 0; p < a->index_stats().posting_lists; ++p) {
-    EXPECT_EQ(a->PostingColumn(p), b->PostingColumn(p)) << p;
     const auto [ra, ra_end] = a->PostingRuns(p);
     const auto [rb, rb_end] = b->PostingRuns(p);
     ASSERT_EQ(ra_end - ra, rb_end - rb) << p;
@@ -767,7 +930,6 @@ TEST(PostingRunsTest, SerialAndPooledBuildsAgree) {
       EXPECT_EQ(ra[r].length, rb[r].length) << p;
     }
   }
-  EXPECT_EQ(KeyedPostings(*a), KeyedPostings(*b));
 }
 
 // ---------------------------------------------------------- search-tree pins
@@ -899,16 +1061,72 @@ TEST(FdEdgeContractTest, EmptyAndAllNullTablesBuildAndRun) {
       EXPECT_EQ(problem->index_stats().posting_runs, 0u);
       EXPECT_EQ(problem->Components().size(), rows);
       EXPECT_EQ(stats.num_components, rows);
-      // The oracle reads padded tuples, so it runs on the legacy build.
+      // The oracle serves both builders, and they agree.
       auto padded = FdProblem::Build(tables, *aligned);
       ASSERT_TRUE(padded.ok());
-      auto oracle = NaiveFdOracle(*padded);
+      auto oracle = NaiveFdOracle(*problem);
       ASSERT_TRUE(oracle.ok());
+      auto padded_oracle = NaiveFdOracle(*padded);
+      ASSERT_TRUE(padded_oracle.ok());
+      EXPECT_EQ(*padded_oracle, *oracle);
       ASSERT_EQ(codes->size(), oracle->size());
       for (size_t i = 0; i < codes->size(); ++i) {
         EXPECT_EQ(DecodeCodeTuple((*codes)[i], problem->dict()),
                   (*oracle)[i]);
       }
+    }
+  }
+}
+
+TEST(FdEdgeContractTest, OracleServesBothBuildersAndMatchesRunCodes) {
+  // Random tiny lakes over overlapping column subsets, some tables empty,
+  // some all-null: oracle(Build) == oracle(BuildInterned) == RunCodes,
+  // poolless and pooled.
+  Rng rng(0xac1e);
+  ThreadPool pool(2);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Table> tables;
+    const uint64_t num_tables = 1 + rng.Uniform(4);
+    for (uint64_t l = 0; l < num_tables; ++l) {
+      std::vector<std::string> names;
+      for (const char* name : {"a", "b", "c"}) {
+        if (rng.Bernoulli(0.6)) names.push_back(name);
+      }
+      if (names.empty()) names.push_back("a");
+      Table t("t" + std::to_string(l), Schema::FromNames(names));
+      const uint64_t kind = rng.Uniform(5);  // 0: empty, 1: all-null
+      const uint64_t rows = kind == 0 ? 0 : 1 + rng.Uniform(4);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::vector<Value> vals(names.size());
+        for (Value& v : vals) {
+          if (kind == 1 || rng.Bernoulli(0.3)) continue;
+          v = Value::String(
+              std::string(1, static_cast<char>('x' + rng.Uniform(3))));
+        }
+        ASSERT_TRUE(t.AppendRow(std::move(vals)).ok());
+      }
+      tables.push_back(std::move(t));
+    }
+    SCOPED_TRACE(trial);
+    auto aligned = AlignByName(tables);
+    ASSERT_TRUE(aligned.ok());
+    auto padded = FdProblem::Build(tables, *aligned);
+    ASSERT_TRUE(padded.ok());
+    SessionDict dict;
+    auto interned =
+        FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+    ASSERT_TRUE(interned.ok());
+    auto from_build = NaiveFdOracle(*padded);
+    auto from_interned = NaiveFdOracle(*interned);
+    ASSERT_TRUE(from_build.ok()) << from_build.status().ToString();
+    ASSERT_TRUE(from_interned.ok()) << from_interned.status().ToString();
+    ASSERT_EQ(*from_build, *from_interned);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      FdProblem problem = *interned;
+      FdStats stats;
+      auto codes = FullDisjunction(FdOptions(), p).RunCodes(&problem, &stats);
+      ASSERT_TRUE(codes.ok()) << codes.status().ToString();
+      EXPECT_EQ(DecodeAll(*codes, problem.dict()), *from_interned);
     }
   }
 }
