@@ -26,9 +26,12 @@
 //   --smoke            tiny instance + 1 rep: CI bit-rot guard
 //   --json_out=PATH    machine-readable artifact (bench-regression gate)
 //
-// Warm open is dominated by the dictionary restore + table materialization;
-// sketches and band keys load as raw bytes. The speedup over cold grows
-// with rows-per-table (sketching is the cold path's dominant term).
+// Warm open is dominated by the dictionary restore (every value parsed into
+// its slot, the hash index built) and table staging. Verification hashes
+// the 1 MiB checksum blocks of all four segments in one pass on the pool,
+// a few ms for the default lake; sketches and band keys load as raw bytes.
+// The speedup over cold grows with rows-per-table (sketching is the cold
+// path's dominant term).
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>

@@ -5,7 +5,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -613,6 +615,88 @@ Status ReadValue(ByteReader* r, Value* out) {
   return Status::IoError("catalog value segment truncated");
 }
 
+/// Checkpoints a values segment of `value_count` records carries: the
+/// offset of code 1 and of every multiple of kCatalogValueCheckpoint.
+uint64_t ValueCheckpointCount(uint64_t value_count) {
+  return value_count == 0 ? 0 : value_count / kCatalogValueCheckpoint + 1;
+}
+
+bool IsCheckpointCode(uint64_t code) {
+  return code == 1 || code % kCatalogValueCheckpoint == 0;
+}
+
+/// Appends dictionary codes [first, last] to the values and hashes
+/// buffers, recording the checkpoint offsets they cross. `values_offset`
+/// is where `values` starts in the segment.
+void SerializeValues(const ValueDict& dict, uint64_t first, uint64_t last,
+                     uint64_t values_offset, ByteWriter* values,
+                     ByteWriter* hashes, std::vector<uint64_t>* checkpoints) {
+  for (uint64_t code = first; code <= last; ++code) {
+    if (IsCheckpointCode(code)) {
+      checkpoints->push_back(values_offset + values->size());
+    }
+    WriteValue(values, dict.Decode(static_cast<uint32_t>(code)));
+    hashes->U64(dict.HashOf(static_cast<uint32_t>(code)));
+  }
+}
+
+/// Sequential reader over the values segment's records from a known
+/// (code, offset) position that checks every persisted checkpoint it
+/// crosses. A run that drifts from the checkpoints — one pointing
+/// mid-record, or records overshooting the next checkpoint — is kIoError.
+class ValueRun {
+ public:
+  /// `offset` must lie within the committed prefix.
+  ValueRun(const uint8_t* segment, uint64_t segment_size,
+           const std::vector<uint64_t>& checkpoints, uint64_t value_count,
+           uint64_t code, uint64_t offset)
+      : checkpoints_(checkpoints),
+        value_count_(value_count),
+        start_(offset),
+        code_(code),
+        reader_(segment + offset, static_cast<size_t>(segment_size - offset)) {}
+
+  uint64_t code() const { return code_; }
+
+  /// Reads the next code's record into `out` (validates only when null).
+  Status Next(Value* out) {
+    if (IsCheckpointCode(code_)) LAKEFUZZ_RETURN_IF_ERROR(CheckBoundary());
+    ++code_;
+    return ReadValue(&reader_, out);
+  }
+
+  /// Validates records up to the next checkpoint, then checks the run ends
+  /// exactly there — or at the end of the segment after the last code.
+  Status Finish() {
+    while (code_ <= value_count_ && !IsCheckpointCode(code_)) {
+      LAKEFUZZ_RETURN_IF_ERROR(Next(nullptr));
+    }
+    if (code_ <= value_count_) return CheckBoundary();
+    if (reader_.remaining() != 0) {
+      return Status::IoError(
+          "catalog value records end before the committed segment does");
+    }
+    return Status::OK();
+  }
+
+ private:
+  Status CheckBoundary() const {
+    const uint64_t k = code_ / kCatalogValueCheckpoint;
+    if (start_ + reader_.offset() != checkpoints_[k]) {
+      return Status::IoError(StrFormat(
+          "catalog value checkpoint %llu is misaligned with the records",
+          static_cast<unsigned long long>(k)));
+    }
+    return Status::OK();
+  }
+
+  const std::vector<uint64_t>& checkpoints_;
+  uint64_t value_count_;
+  uint64_t start_;
+  uint64_t code_;
+  ByteReader reader_;
+};
+
 // --------------------------------------------------------- table payloads
 
 /// Everything SaveCatalog needs about one registered table, gathered from
@@ -704,6 +788,7 @@ struct Manifest {
   uint64_t signature_size = 0, bands = 0, rows_per_band = 0, seed = 0;
   uint64_t value_count = 0;
   CatalogState::Segment values, hashes, tables, sketches;
+  std::vector<uint64_t> value_checkpoints;
   std::vector<ManifestEntry> entries;
 };
 
@@ -724,6 +809,9 @@ std::string SerializeManifest(const Manifest& m) {
     w.U64(seg->size);
     w.U64(seg->checksum);
   }
+  w.U64(m.value_checkpoints.size());
+  w.Raw(m.value_checkpoints.data(),
+        m.value_checkpoints.size() * sizeof(uint64_t));
   w.U64(m.entries.size());
   for (const ManifestEntry& e : m.entries) {
     w.Str(e.name);
@@ -794,10 +882,20 @@ Status ParseManifest(const std::string& bytes,
     seg->size = r.U64();
     seg->checksum = r.U64();
   }
+  if (out->value_count >= UINT32_MAX ||
+      r.U64() != ValueCheckpointCount(out->value_count) ||
+      !r.U64Span(ValueCheckpointCount(out->value_count),
+                 &out->value_checkpoints)) {
+    return Status::IoError("catalog manifest truncated");
+  }
+  if (!out->value_checkpoints.empty() && out->value_checkpoints[0] != 0) {
+    return Status::IoError(
+        "catalog value checkpoint 0 does not start the values segment");
+  }
   const uint64_t num_tables = r.U64();
   if (r.failed() || num_tables > kMaxManifestTables ||
-      out->value_count >= UINT32_MAX || out->generation == 0 ||
-      out->base == 0 || out->base > out->generation) {
+      out->generation == 0 || out->base == 0 ||
+      out->base > out->generation) {
     return Status::IoError("catalog manifest truncated");
   }
   out->entries.resize(static_cast<size_t>(num_tables));
@@ -828,21 +926,48 @@ Status ParseManifest(const std::string& bytes,
   return Status::OK();
 }
 
-Status VerifySegment(const MappedFile& file, const CatalogState::Segment& seg,
-                     const char* name) {
-  if (file.size() < seg.size) {
-    return Status::IoError(
-        StrFormat("catalog segment '%s' truncated (%zu < committed %llu)",
-                  name, file.size(),
-                  static_cast<unsigned long long>(seg.size)));
+/// Hash state of block `block` of the prefix `data[0, size)`.
+Xxh64Stream HashBlock(const uint8_t* data, uint64_t size, size_t block) {
+  const uint64_t off = block * kCatalogChecksumBlock;
+  Xxh64Stream stream;
+  stream.Update(data + off, static_cast<size_t>(std::min(
+                                kCatalogChecksumBlock, size - off)));
+  return stream;
+}
+
+/// The checksum of `seg`: XXH64, seeded with the size, over the digest of
+/// every block in order, the partial tail block's last.
+uint64_t FoldBlockDigests(const CatalogState::Segment& seg) {
+  Xxh64Stream fold(seg.size);
+  fold.Update(seg.block_digests.data(),
+              seg.block_digests.size() * sizeof(uint64_t));
+  if (seg.size % kCatalogChecksumBlock != 0) {
+    const uint64_t tail = seg.tail.Digest();
+    fold.Update(&tail, sizeof(tail));
   }
-  // Only the committed prefix participates: bytes past it are an aborted
-  // append, not corruption.
-  if (Fnv1a64(file.data(), static_cast<size_t>(seg.size)) != seg.checksum) {
-    return Status::IoError(
-        StrFormat("catalog segment '%s' checksum mismatch", name));
+  return fold.Digest();
+}
+
+/// `seg` extended by `bytes`: the tail block's hash state takes them and
+/// every block they complete becomes a digest, so an append costs O(its
+/// size) whatever the segment's.
+CatalogState::Segment Extended(CatalogState::Segment seg,
+                               std::string_view bytes) {
+  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data());
+  for (size_t left = bytes.size(); left > 0;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(
+        left, kCatalogChecksumBlock - seg.size % kCatalogChecksumBlock));
+    seg.tail.Update(p, n);
+    seg.size += n;
+    p += n;
+    left -= n;
+    if (seg.size % kCatalogChecksumBlock == 0) {
+      seg.block_digests.push_back(seg.tail.Digest());
+      seg.tail = Xxh64Stream();
+    }
   }
-  return Status::OK();
+  seg.checksum = FoldBlockDigests(seg);
+  return seg;
 }
 
 Status GatherPayloads(TableRegistry* registry, SessionDict* dict,
@@ -986,6 +1111,12 @@ std::string CatalogPinFileName(uint64_t generation, int64_t pid,
                    static_cast<unsigned long long>(seq));
 }
 
+uint64_t CatalogSegmentChecksum(const void* data, uint64_t size) {
+  return Extended({}, std::string_view(static_cast<const char*>(data),
+                                       static_cast<size_t>(size)))
+      .checksum;
+}
+
 uint64_t CatalogTableFingerprint(const Table& table, SessionDict* dict) {
   std::vector<std::shared_ptr<const std::vector<uint32_t>>> codes;
   codes.reserve(table.NumColumns());
@@ -1097,24 +1228,14 @@ Result<CatalogSaveReport> SaveCatalogFrom(
 
   if (incremental) {
     report.incremental = true;
-    // Dict delta: entries [values_persisted+1, value_count] append; the
-    // prefix checksum streams forward (FNV seeded with the old checksum).
+    // Dict delta: entries [values_persisted+1, value_count] append, and
+    // their checkpoints extend the committed ones.
     ByteWriter vbuf, hbuf;
-    for (uint64_t code = state->values_persisted + 1; code <= value_count;
-         ++code) {
-      WriteValue(&vbuf, dict->dict().Decode(static_cast<uint32_t>(code)));
-      hbuf.U64(dict->dict().HashOf(static_cast<uint32_t>(code)));
-    }
-    m.values.size = state->values.size + vbuf.size();
-    m.values.checksum =
-        vbuf.size() == 0
-            ? state->values.checksum
-            : Fnv1a64(vbuf.bytes().data(), vbuf.size(), state->values.checksum);
-    m.hashes.size = state->hashes.size + hbuf.size();
-    m.hashes.checksum =
-        hbuf.size() == 0
-            ? state->hashes.checksum
-            : Fnv1a64(hbuf.bytes().data(), hbuf.size(), state->hashes.checksum);
+    m.value_checkpoints = state->value_checkpoints;
+    SerializeValues(dict->dict(), state->values_persisted + 1, value_count,
+                    state->values.size, &vbuf, &hbuf, &m.value_checkpoints);
+    m.values = Extended(state->values, vbuf.bytes());
+    m.hashes = Extended(state->hashes, hbuf.bytes());
 
     ByteWriter tbuf, sbuf;
     for (const TablePayload& p : payloads) {
@@ -1138,16 +1259,8 @@ Result<CatalogSaveReport> SaveCatalogFrom(
       table_states[p.name] = ts;
       ++report.tables_written;
     }
-    m.tables.size = state->tables.size + tbuf.size();
-    m.tables.checksum =
-        tbuf.size() == 0
-            ? state->tables.checksum
-            : Fnv1a64(tbuf.bytes().data(), tbuf.size(), state->tables.checksum);
-    m.sketches.size = state->sketches.size + sbuf.size();
-    m.sketches.checksum =
-        sbuf.size() == 0 ? state->sketches.checksum
-                         : Fnv1a64(sbuf.bytes().data(), sbuf.size(),
-                                   state->sketches.checksum);
+    m.tables = Extended(state->tables, tbuf.bytes());
+    m.sketches = Extended(state->sketches, sbuf.bytes());
 
     LAKEFUZZ_RETURN_IF_ERROR(
         AppendToFile(JoinPath(dir, values_file), vbuf.bytes()));
@@ -1166,10 +1279,8 @@ Result<CatalogSaveReport> SaveCatalogFrom(
     // are left untouched (retention GC retires them later), so a crash at
     // any point leaves every committed generation fully intact.
     ByteWriter vbuf, hbuf;
-    for (uint64_t code = 1; code <= value_count; ++code) {
-      WriteValue(&vbuf, dict->dict().Decode(static_cast<uint32_t>(code)));
-      hbuf.U64(dict->dict().HashOf(static_cast<uint32_t>(code)));
-    }
+    SerializeValues(dict->dict(), 1, value_count, 0, &vbuf, &hbuf,
+                    &m.value_checkpoints);
     ByteWriter tbuf, sbuf;
     for (const TablePayload& p : payloads) {
       CatalogState::TableState ts;
@@ -1185,10 +1296,10 @@ Result<CatalogSaveReport> SaveCatalogFrom(
       table_states[p.name] = ts;
       ++report.tables_written;
     }
-    m.values = {vbuf.size(), Fnv1a64(vbuf.bytes().data(), vbuf.size())};
-    m.hashes = {hbuf.size(), Fnv1a64(hbuf.bytes().data(), hbuf.size())};
-    m.tables = {tbuf.size(), Fnv1a64(tbuf.bytes().data(), tbuf.size())};
-    m.sketches = {sbuf.size(), Fnv1a64(sbuf.bytes().data(), sbuf.size())};
+    m.values = Extended({}, vbuf.bytes());
+    m.hashes = Extended({}, hbuf.bytes());
+    m.tables = Extended({}, tbuf.bytes());
+    m.sketches = Extended({}, sbuf.bytes());
     LAKEFUZZ_RETURN_IF_ERROR(
         WriteFileAtomic(dir, values_file, vbuf.bytes()));
     LAKEFUZZ_RETURN_IF_ERROR(
@@ -1224,10 +1335,11 @@ Result<CatalogSaveReport> SaveCatalogFrom(
   state->base = base;
   state->codes_identical = true;  // file codes 1..value_count == session codes
   state->values_persisted = value_count;
-  state->values = m.values;
-  state->hashes = m.hashes;
-  state->tables = m.tables;
-  state->sketches = m.sketches;
+  state->value_checkpoints = std::move(m.value_checkpoints);
+  state->values = std::move(m.values);
+  state->hashes = std::move(m.hashes);
+  state->tables = std::move(m.tables);
+  state->sketches = std::move(m.sketches);
   state->tables_by_name = std::move(table_states);
   report.generation = gen;
   report.base = base;
@@ -1370,47 +1482,52 @@ Status ParseSketchBlock(const MappedFile& seg, const ManifestEntry& e,
   return Status::OK();
 }
 
-/// The values segment's parse restarts: checkpoint k is the offset of code
-/// k * kValueCheckpoint (code 1 for k = 0), so a parse of any code range
-/// starts at most kValueCheckpoint - 1 records early.
-constexpr uint32_t kValueCheckpoint = 1024;
-
 /// Bulk restore of file codes 1..m.value_count into `out`, a dictionary no
-/// other thread sees yet, under the same codes. A serial scan validates
-/// every record's type tag and length; the parse that follows runs on
-/// `pool` and cannot fail. A value stored twice is corruption: the writer's
-/// dictionary never holds two codes for one value.
+/// other thread sees yet, under the same codes. Each RestoreAll range
+/// starts at the persisted checkpoint at or below its first code, validates
+/// its own records, and must end exactly at the next checkpoint (or the
+/// segment end), so the ranges together validate every record with no
+/// serial scan. A value stored twice is corruption too: the writer's
+/// dictionary never holds two codes for one value. On error `out` must be
+/// discarded.
 Status RestoreDictionary(const MappedFile& values, const MappedFile& hashes,
                          const Manifest& m, ThreadPool* pool,
                          ValueDict* out) {
-  const size_t size = static_cast<size_t>(m.values.size);
-  std::vector<size_t> checkpoints;
-  checkpoints.reserve(static_cast<size_t>(m.value_count / kValueCheckpoint) +
-                      1);
-  ByteReader scan(values.data(), size);
-  for (uint64_t code = 1; code <= m.value_count; ++code) {
-    if (code == 1 || code % kValueCheckpoint == 0) {
-      checkpoints.push_back(scan.offset());
-    }
-    LAKEFUZZ_RETURN_IF_ERROR(ReadValue(&scan, nullptr));
-  }
+  std::mutex error_mu;
+  uint32_t error_code = UINT32_MAX;  // first code of the failed range
+  Status error;
   const uint32_t duplicate = out->RestoreAll(
       static_cast<uint32_t>(m.value_count), pool,
       [&](uint32_t begin, uint32_t end, Value* slots, uint64_t* slot_hashes) {
-        const uint32_t k = begin / kValueCheckpoint;
-        ByteReader r(values.data() + checkpoints[k], size - checkpoints[k]);
-        // The scan validated every record, so none of these reads fail.
-        for (uint32_t code = std::max<uint32_t>(1, k * kValueCheckpoint);
-             code < begin; ++code) {
-          (void)ReadValue(&r, nullptr);
-        }
-        for (uint32_t code = begin; code < end; ++code) {
-          (void)ReadValue(&r, &slots[code - begin]);
-        }
         std::memcpy(slot_hashes,
                     hashes.data() + size_t{begin - 1} * sizeof(uint64_t),
                     size_t{end - begin} * sizeof(uint64_t));
+        const uint64_t k = begin / kCatalogValueCheckpoint;
+        const uint64_t offset = m.value_checkpoints[k];
+        Status st;
+        if (offset > m.values.size) {
+          st = Status::IoError(StrFormat(
+              "catalog value checkpoint %llu lies past the segment end",
+              static_cast<unsigned long long>(k)));
+        } else {
+          ValueRun run(values.data(), m.values.size, m.value_checkpoints,
+                       m.value_count, k == 0 ? 1 : k * kCatalogValueCheckpoint,
+                       offset);
+          while (st.ok() && run.code() < end) {
+            st = run.Next(run.code() < begin ? nullptr
+                                             : &slots[run.code() - begin]);
+          }
+          if (st.ok()) st = run.Finish();
+        }
+        if (!st.ok()) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (begin < error_code) {
+            error_code = begin;
+            error = std::move(st);
+          }
+        }
       });
+  LAKEFUZZ_RETURN_IF_ERROR(error);
   if (duplicate != ValueDict::kNullCode) {
     return Status::IoError(StrFormat(
         "catalog value segment stores code %u's value under an earlier code "
@@ -1499,20 +1616,51 @@ Result<CatalogOpenReport> OpenCatalogInto(
       MappedFile sketches_seg,
       MappedFile::Open(JoinPath(
           dir, CatalogSegmentFileName(kCatalogSketchesStem, m.base))));
+  // Every committed block of all four segments is hashed in one pass on
+  // the pool; each segment's digests then fold into its checksum.
   const struct {
     const MappedFile* file;
-    const CatalogState::Segment* seg;
+    CatalogState::Segment* seg;
     const char* name;
   } segments[] = {{&values_seg, &m.values, "values"},
                   {&hashes_seg, &m.hashes, "hashes"},
                   {&tables_seg, &m.tables, "tables"},
                   {&sketches_seg, &m.sketches, "sketches"}};
-  Status verified[4];
-  MaybeParallelFor(request.pool, 4, [&](size_t i) {
-    verified[i] =
-        VerifySegment(*segments[i].file, *segments[i].seg, segments[i].name);
+  std::vector<std::pair<size_t, size_t>> blocks;  // (segment, block)
+  for (size_t i = 0; i < 4; ++i) {
+    const auto& segment = segments[i];
+    if (segment.file->size() < segment.seg->size) {
+      return Status::IoError(StrFormat(
+          "catalog segment '%s' truncated (%zu < committed %llu)",
+          segment.name, segment.file->size(),
+          static_cast<unsigned long long>(segment.seg->size)));
+    }
+    // Only the committed prefix participates: bytes past it are an aborted
+    // append, not corruption. A partial last block leaves its hash state
+    // in `tail`, where the next incremental save continues it.
+    const uint64_t whole = segment.seg->size / kCatalogChecksumBlock;
+    segment.seg->block_digests.resize(static_cast<size_t>(whole));
+    for (size_t b = 0; b * kCatalogChecksumBlock < segment.seg->size; ++b) {
+      blocks.emplace_back(i, b);
+    }
+  }
+  MaybeParallelFor(request.pool, blocks.size(), [&](size_t t) {
+    const auto& segment = segments[blocks[t].first];
+    const size_t b = blocks[t].second;
+    Xxh64Stream stream =
+        HashBlock(segment.file->data(), segment.seg->size, b);
+    if (b < segment.seg->block_digests.size()) {
+      segment.seg->block_digests[b] = stream.Digest();
+    } else {
+      segment.seg->tail = stream;
+    }
   });
-  for (const Status& st : verified) LAKEFUZZ_RETURN_IF_ERROR(st);
+  for (const auto& segment : segments) {
+    if (FoldBlockDigests(*segment.seg) != segment.seg->checksum) {
+      return Status::IoError(StrFormat(
+          "catalog segment '%s' checksum mismatch", segment.name));
+    }
+  }
   if (m.hashes.size != m.value_count * sizeof(uint64_t)) {
     return Status::IoError(
         "catalog hash segment size does not match the dictionary count");
@@ -1534,6 +1682,10 @@ Result<CatalogOpenReport> OpenCatalogInto(
       refresh && state->valid() && state->dir == dir &&
       state->base == m.base && state->codes_identical &&
       m.value_count >= state->values_persisted &&
+      m.values.size >= state->values.size &&
+      std::equal(state->value_checkpoints.begin(),
+                 state->value_checkpoints.end(),
+                 m.value_checkpoints.begin()) &&
       dict->NumDistinct() == state->values_persisted;
   std::vector<uint32_t> remap;
   bool identical = true;
@@ -1557,11 +1709,11 @@ Result<CatalogOpenReport> OpenCatalogInto(
       first = state->values_persisted + 1;
       values_off = state->values.size;
     }
-    ByteReader vr(values_seg.data() + values_off,
-                  static_cast<size_t>(m.values.size - values_off));
+    ValueRun run(values_seg.data(), m.values.size, m.value_checkpoints,
+                 m.value_count, first, values_off);
     for (uint64_t i = first; i <= m.value_count; ++i) {
       Value v;
-      LAKEFUZZ_RETURN_IF_ERROR(ReadValue(&vr, &v));
+      LAKEFUZZ_RETURN_IF_ERROR(run.Next(&v));
       uint64_t hash;
       std::memcpy(&hash, hashes_seg.data() + (i - 1) * sizeof(uint64_t),
                   sizeof(hash));
@@ -1569,6 +1721,7 @@ Result<CatalogOpenReport> OpenCatalogInto(
       remap[static_cast<size_t>(i)] = code;
       identical = identical && code == i;
     }
+    LAKEFUZZ_RETURN_IF_ERROR(run.Finish());
   }
   report.values_loaded = m.value_count - (first - 1);
   report.dict_seconds = watch.ElapsedSeconds() - report.verify_seconds;
@@ -1654,10 +1807,11 @@ Result<CatalogOpenReport> OpenCatalogInto(
   state->base = m.base;
   state->codes_identical = delta_replay ? true : identical;
   state->values_persisted = m.value_count;
-  state->values = m.values;
-  state->hashes = m.hashes;
-  state->tables = m.tables;
-  state->sketches = m.sketches;
+  state->value_checkpoints = std::move(m.value_checkpoints);
+  state->values = std::move(m.values);
+  state->hashes = std::move(m.hashes);
+  state->tables = std::move(m.tables);
+  state->sketches = std::move(m.sketches);
   state->tables_by_name.clear();
   for (ManifestEntry& e : m.entries) {
     state->tables_by_name[e.name] = e.state;

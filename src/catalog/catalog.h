@@ -12,8 +12,9 @@
 //   tables.<base>.seg    per-table blocks: schema + per-column uint32 code rows
 //   sketches.<base>.seg  per-column profile + MinHash signature + LSH band keys
 //   manifest.<gen>.lfc   magic, format version, generation, segment base,
-//                        discovery params, segment sizes/checksums, and
-//                        per-table entries (name, content fingerprint, extents)
+//                        discovery params, segment sizes/checksums, value
+//                        checkpoints, and per-table entries (name, content
+//                        fingerprint, extents)
 //   CURRENT              the commit pointer: the generation readers open
 //   CURRENT.lock         stable flock target fencing commits, reads, and GC
 //   pin.<gen>.<pid>.<seq>  a reader's claim that generation <gen> must survive
@@ -27,6 +28,18 @@
 // rewrites allocate a new base instead of truncating files an older manifest
 // references, incremental checkpoints only append past the committed prefix,
 // and every checksum covers exactly the logical prefix its manifest records.
+//
+// A segment checksum (CatalogSegmentChecksum) folds the XXH64 digests of
+// the prefix's fixed kCatalogChecksumBlock-byte blocks. The open hashes the
+// blocks of all four segments in one pass on the engine pool, so verifying
+// every committed byte costs a fraction of one serial pass over the
+// largest segment; it keeps the block digests and the partial last block's
+// hash state, from which an incremental save hashes only the appended
+// bytes. The manifest also records the byte offset of every
+// kCatalogValueCheckpoint-th dictionary record, so the dictionary restore
+// parses disjoint record runs in parallel with no serial scan: each run
+// must pass every checkpoint it crosses at its recorded offset and end
+// exactly where the next run begins, which validates every record once.
 //
 // Readers (OpenCatalogInto, LakeEngine::OpenReplica) take a shared flock on
 // CURRENT.lock, read CURRENT, and optionally drop a pin file for that
@@ -53,10 +66,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/engine_registry.h"
 #include "discovery/discovery.h"
 #include "fd/session_dict.h"
+#include "util/hash.h"
 #include "util/result.h"
 
 namespace lakefuzz {
@@ -90,9 +105,25 @@ std::string CatalogPinFileName(uint64_t generation, int64_t pid, uint64_t seq);
 /// endianness probe (u32 = kCatalogEndianCheck as written by the producer).
 inline constexpr char kCatalogMagic[8] = {'L', 'F', 'C', 'A',
                                           'T', 'L', 'G', '1'};
-/// v2 added generation numbers, segment bases, and the CURRENT pointer.
-inline constexpr uint32_t kCatalogFormatVersion = 2;
+/// v2 added generation numbers, segment bases, and the CURRENT pointer; v3
+/// block-folded XXH64 segment checksums and persisted value checkpoints.
+/// No older version is read: it fails as version skew (kInvalidArgument)
+/// and the caller rebuilds cold.
+inline constexpr uint32_t kCatalogFormatVersion = 3;
 inline constexpr uint32_t kCatalogEndianCheck = 0x01020304u;
+
+/// Segment checksums fold one XXH64 digest per block of this many bytes.
+inline constexpr uint64_t kCatalogChecksumBlock = uint64_t{1} << 20;
+
+/// The manifest records the values-segment offset of code 1 and of every
+/// code that is a multiple of this.
+inline constexpr uint64_t kCatalogValueCheckpoint = 1024;
+
+/// The checksum a manifest records for a segment whose committed prefix is
+/// `data[0, size)`: XXH64 of each kCatalogChecksumBlock-byte block (the
+/// last may be shorter), folded by XXH64 over the digest array seeded with
+/// `size`. Changing the block size or the fold changes the format.
+uint64_t CatalogSegmentChecksum(const void* data, uint64_t size);
 
 /// Default for the retention knob: how many committed generations a save
 /// keeps on disk (pinned generations always survive in addition).
@@ -107,7 +138,14 @@ inline constexpr size_t kCatalogDefaultRetainGenerations = 2;
 struct CatalogState {
   struct Segment {
     uint64_t size = 0;      ///< committed logical size (files may be longer)
-    uint64_t checksum = 0;  ///< streaming FNV-1a over the logical prefix
+    /// CatalogSegmentChecksum of the logical prefix — the manifest's value.
+    uint64_t checksum = 0;
+    /// XXH64 of each whole checksum block of the prefix, and the hash
+    /// state of the partial block after them: what the checksum folds.
+    /// Kept in memory only (the open computes them while verifying), so an
+    /// incremental save hashes just the appended bytes.
+    std::vector<uint64_t> block_digests;
+    Xxh64Stream tail;
   };
   struct TableState {
     uint64_t fingerprint = 0;  ///< content hash (schema + cell hashes)
@@ -128,6 +166,9 @@ struct CatalogState {
   bool codes_identical = false;
   /// Dict codes 1..values_persisted are on disk.
   uint64_t values_persisted = 0;
+  /// Values-segment offsets of code 1 and every kCatalogValueCheckpoint-th
+  /// code up to values_persisted, as the manifest records them.
+  std::vector<uint64_t> value_checkpoints;
   Segment values, hashes, tables, sketches;
   /// Ordered by name — the manifest serialization order, so manifests are
   /// byte-deterministic for a given lake.

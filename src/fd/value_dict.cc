@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <memory>
+#include <new>
 
 #include "util/thread_pool.h"
 
@@ -20,14 +22,32 @@ ValueDict::ValueDict() {
 
 ValueDict::~ValueDict() { FreeBuckets(); }
 
+// Storage buckets are allocated raw and their slots constructed separately,
+// so RestoreAll can construct a large dictionary's slots in parallel slices
+// instead of one serial value-initialisation per bucket. Every allocated
+// bucket is fully constructed before anything reads it, so FreeBuckets
+// destroys each one whole.
+void ValueDict::AllocateBucket(size_t b, Value** values, uint64_t** hashes) {
+  *values = static_cast<Value*>(
+      ::operator new(BucketCapacity(b) * sizeof(Value)));
+  *hashes = static_cast<uint64_t*>(
+      ::operator new(BucketCapacity(b) * sizeof(uint64_t)));
+}
+
+void ValueDict::ConstructSlots(Value* values, uint64_t* hashes, size_t n) {
+  std::uninitialized_value_construct_n(values, n);  // null Values
+  std::fill_n(hashes, n, uint64_t{0});
+}
+
 void ValueDict::FreeBuckets() {
-  for (auto& b : buckets_) {
-    delete[] b.load(std::memory_order_relaxed);
-    b.store(nullptr, std::memory_order_relaxed);
-  }
-  for (auto& b : hash_buckets_) {
-    delete[] b.load(std::memory_order_relaxed);
-    b.store(nullptr, std::memory_order_relaxed);
+  for (size_t b = 0; b < kMaxBuckets; ++b) {
+    if (Value* values = buckets_[b].load(std::memory_order_relaxed)) {
+      std::destroy_n(values, BucketCapacity(b));
+      ::operator delete(values);
+    }
+    ::operator delete(hash_buckets_[b].load(std::memory_order_relaxed));
+    buckets_[b].store(nullptr, std::memory_order_relaxed);
+    hash_buckets_[b].store(nullptr, std::memory_order_relaxed);
   }
   size_.store(1, std::memory_order_relaxed);
 }
@@ -111,11 +131,13 @@ void ValueDict::EnsureBucket(size_t b) {
   if (buckets_[b].load(std::memory_order_acquire) != nullptr) return;
   std::lock_guard<std::mutex> lock(alloc_mu_);
   if (buckets_[b].load(std::memory_order_relaxed) != nullptr) return;
-  // Value-initialize both arrays (null Values, zero hashes) BEFORE the
-  // release publish, so a concurrent reader that wins the pointer race
-  // never observes uninitialized slots.
-  auto* hashes = new uint64_t[BucketCapacity(b)]();
-  auto* values = new Value[BucketCapacity(b)];
+  // Construct both arrays (null Values, zero hashes) BEFORE the release
+  // publish, so a concurrent reader that wins the pointer race never
+  // observes uninitialized slots.
+  Value* values;
+  uint64_t* hashes;
+  AllocateBucket(b, &values, &hashes);
+  ConstructSlots(values, hashes, BucketCapacity(b));
   hash_buckets_[b].store(hashes, std::memory_order_release);
   buckets_[b].store(values, std::memory_order_release);
 }
@@ -225,38 +247,60 @@ void ValueDict::Reserve(size_t expected) {
 uint32_t ValueDict::RestoreAll(uint32_t count, ThreadPool* pool,
                                const RestoreFill& fill) {
   if (count == 0) return kNullCode;
-  const uint32_t end = count + 1;
-  // Every storage bucket exists before the parallel fill, and no fill range
-  // crosses a bucket, so each range is one contiguous run of slots.
+  const size_t end = size_t{count} + 1;
+  // Every storage bucket exists before the parallel pass, and no range
+  // crosses a bucket, so each range is one contiguous run of slots. Buckets
+  // past the constructor's bucket 0 are allocated raw here and covered
+  // whole by ranges that construct their slots: a range constructs its
+  // slots, then fills the ones below `end` while they are still in cache.
   struct Range {
-    uint32_t begin, end;
+    size_t bucket, begin, end;
+    bool construct;
   };
   std::vector<Range> ranges;
   for (size_t b = 0; b < kMaxBuckets && BucketBase(b) < end; ++b) {
-    EnsureBucket(b);
-    const size_t bucket_end =
-        std::min<size_t>(end, BucketBase(b) + BucketCapacity(b));
+    const bool construct = b != 0;
+    if (construct) {
+      Value* values;
+      uint64_t* hashes;
+      AllocateBucket(b, &values, &hashes);
+      hash_buckets_[b].store(hashes, std::memory_order_release);
+      buckets_[b].store(values, std::memory_order_release);
+    }
+    const size_t bucket_end = BucketBase(b) + BucketCapacity(b);
     for (size_t lo = std::max<size_t>(1, BucketBase(b)); lo < bucket_end;
          lo += kRestoreRange) {
-      ranges.push_back({static_cast<uint32_t>(lo),
-                        static_cast<uint32_t>(std::min<size_t>(
-                            bucket_end, lo + kRestoreRange))});
+      ranges.push_back({b, lo, std::min<size_t>(bucket_end, lo + kRestoreRange),
+                        construct});
     }
   }
-  // Each range also counts its codes per shard.
-  std::vector<std::array<uint32_t, kShards>> range_counts(ranges.size());
+  // Ranges wholly past `end` only construct; the others fill their codes
+  // and count them per shard.
+  size_t filled = 0;
+  while (filled < ranges.size() && ranges[filled].begin < end) ++filled;
+  std::vector<std::array<uint32_t, kShards>> range_counts(filled);
   MaybeParallelFor(pool, ranges.size(), [&](size_t i) {
-    const size_t b = BucketOf(ranges[i].begin);
-    const size_t off = ranges[i].begin - BucketBase(b);
-    uint64_t* hashes = hash_buckets_[b].load(std::memory_order_relaxed) + off;
-    fill(ranges[i].begin, ranges[i].end,
-         buckets_[b].load(std::memory_order_relaxed) + off, hashes);
-    range_counts[i].fill(0);
-    for (uint32_t k = 0; k < ranges[i].end - ranges[i].begin; ++k) {
-      ++range_counts[i][ShardOf(hashes[k])];
+    const Range& r = ranges[i];
+    const size_t off = r.begin - BucketBase(r.bucket);
+    Value* values = buckets_[r.bucket].load(std::memory_order_relaxed) + off;
+    uint64_t* hashes =
+        hash_buckets_[r.bucket].load(std::memory_order_relaxed) + off;
+    if (r.construct) ConstructSlots(values, hashes, r.end - r.begin);
+    if (i >= filled) return;
+    const uint32_t fill_end =
+        static_cast<uint32_t>(std::min<size_t>(r.end, end));
+    fill(static_cast<uint32_t>(r.begin), fill_end, values, hashes);
+    // Counted locally: neighbouring ranges' count arrays share cache
+    // lines, and concurrent increments there would ping-pong them.
+    std::array<uint32_t, kShards> counts{};
+    for (uint32_t k = 0; k < fill_end - r.begin; ++k) {
+      ++counts[ShardOf(hashes[k])];
     }
+    range_counts[i] = counts;
   });
-  size_.store(end, std::memory_order_release);
+  ranges.resize(filled);
+  for (Range& r : ranges) r.end = std::min<size_t>(r.end, end);
+  size_.store(static_cast<uint32_t>(end), std::memory_order_release);
 
   // Group the codes by shard, keeping ascending code order inside each
   // shard: range i's codes of shard s go to order[offsets[i][s]...].
@@ -272,7 +316,7 @@ uint32_t ValueDict::RestoreAll(uint32_t count, ThreadPool* pool,
   }
   std::vector<uint32_t> order(count);
   MaybeParallelFor(pool, ranges.size(), [&](size_t i) {
-    std::array<uint32_t, kShards>& next = offsets[i];
+    std::array<uint32_t, kShards> next = offsets[i];  // local, as above
     for (uint32_t code = ranges[i].begin; code < ranges[i].end; ++code) {
       order[next[ShardOf(HashOf(code))]++] = code;
     }

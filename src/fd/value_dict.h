@@ -114,12 +114,14 @@ class ValueDict {
 
   /// Bulk load of a dictionary that is empty and not yet visible to any
   /// other thread: codes 1..count are stored in one pass instead of `count`
-  /// interns. `fill` writes each code's value straight into its storage
-  /// slot; it runs concurrently for disjoint ranges on `pool` (inline when
-  /// null). The hash index is then built shard by shard, each shard sized
-  /// once for the codes it holds. Returns kNullCode, or the smallest code
-  /// whose value equals a lower code's — the dictionary is then invalid
-  /// and must be discarded. `count` must be below UINT32_MAX.
+  /// interns. The storage buckets are allocated raw and their slots
+  /// constructed in parallel slices on `pool` (inline when null); `fill`
+  /// then writes each code's value straight into its constructed slot,
+  /// concurrently for disjoint ranges. The hash index is then built shard
+  /// by shard, each shard sized once for the codes it holds. Returns
+  /// kNullCode, or the smallest code whose value equals a lower code's —
+  /// the dictionary is then invalid and must be discarded. `count` must be
+  /// below UINT32_MAX.
   uint32_t RestoreAll(uint32_t count, ThreadPool* pool,
                       const RestoreFill& fill);
 
@@ -166,8 +168,12 @@ class ValueDict {
   /// its shard table (or another happens-before edge) before readers use it.
   uint32_t Append(const Value& v, uint64_t hash);
   uint32_t Append(Value&& v, uint64_t hash);
-  /// Ensures the storage bucket holding `code` exists (double-checked
-  /// against alloc_mu_).
+  /// Raw storage for bucket `b`: the slots are not constructed yet.
+  static void AllocateBucket(size_t b, Value** values, uint64_t** hashes);
+  /// Constructs `n` slots: null Values and zero hashes.
+  static void ConstructSlots(Value* values, uint64_t* hashes, size_t n);
+  /// Ensures storage bucket `b` exists, every slot constructed
+  /// (double-checked against alloc_mu_).
   void EnsureBucket(size_t b);
   void CopyFrom(const ValueDict& other);
   void FreeBuckets();

@@ -34,15 +34,13 @@ void ThreadPool::WorkerLoop() {
       item = std::move(queue_.front());
       queue_.pop();
     }
-    // Two clock reads per task bound the instrumentation cost; tasks here
-    // are coarse (a ParallelFor lane's whole loop, an FD subtree batch), so
-    // the reads are noise next to the work they bracket.
-    const uint64_t start = NowNs();
-    queue_wait_ns_.fetch_add(start - item.enqueue_ns,
+    // Three clock reads per task (queue wait here, busy time in the
+    // task's TaskCounter) bound the instrumentation cost; tasks here are
+    // coarse (a ParallelFor lane's whole loop, an FD subtree batch), so the
+    // reads are noise next to the work they bracket.
+    queue_wait_ns_.fetch_add(NowNs() - item.enqueue_ns,
                              std::memory_order_relaxed);
     item.fn();
-    busy_ns_.fetch_add(NowNs() - start, std::memory_order_relaxed);
-    tasks_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

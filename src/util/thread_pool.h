@@ -58,7 +58,14 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
+    // The task's counters are published from inside the packaged callable,
+    // so they land before its future becomes ready: a stats() read right
+    // after a waiter's get() already counts the task.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(f)]() mutable -> R {
+          const TaskCounter counter(this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -98,6 +105,23 @@ class ThreadPool {
   struct Item {
     std::function<void()> fn;
     uint64_t enqueue_ns = 0;
+  };
+
+  /// Adds one task's execution time and count when it goes out of scope —
+  /// after the task body returns (or throws), before its result is stored.
+  class TaskCounter {
+   public:
+    explicit TaskCounter(ThreadPool* pool) : pool_(pool), start_(NowNs()) {}
+    ~TaskCounter() {
+      pool_->busy_ns_.fetch_add(NowNs() - start_, std::memory_order_relaxed);
+      pool_->tasks_.fetch_add(1, std::memory_order_relaxed);
+    }
+    TaskCounter(const TaskCounter&) = delete;
+    TaskCounter& operator=(const TaskCounter&) = delete;
+
+   private:
+    ThreadPool* pool_;
+    uint64_t start_;
   };
 
   void WorkerLoop();

@@ -6,6 +6,7 @@
 // re-runs this under the allocator poisoners).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <unordered_set>
@@ -164,6 +165,22 @@ TEST(PoolStatsTest, CountersGrowAndSnapshotSubtractIsolatesPhase) {
   const PoolStats idle_delta = pool.stats() - idle_before;
   EXPECT_EQ(idle_delta.tasks, 0u);
   EXPECT_EQ(idle_delta.busy_ns, 0u);
+}
+
+/// A task's counters are published before ParallelFor can return, so a
+/// snapshot taken right after it counts exactly the lanes that call ran —
+/// never one short (the last task still publishing), never one more (a
+/// straggler from the previous call landing late).
+TEST(PoolStatsTest, CountersAreCompleteWhenParallelForReturns) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 2000; ++round) {
+    const size_t n = 1 + static_cast<size_t>(round) % 5;
+    const PoolStats before = pool.stats();
+    pool.ParallelFor(n, [](size_t) {});
+    const PoolStats delta = pool.stats() - before;
+    ASSERT_EQ(delta.tasks, std::min(n, pool.num_threads()))
+        << "round " << round << ", n=" << n;
+  }
 }
 
 }  // namespace

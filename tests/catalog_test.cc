@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -753,7 +754,7 @@ void WriteSegmentWithValidChecksum(const std::string& dir, size_t index,
   WriteAll(SegmentPath(dir, stem), bytes);
   std::string manifest = ReadAll(ManifestPath(dir));
   const uint64_t size = bytes.size();
-  const uint64_t sum = Fnv1a64(bytes.data(), bytes.size());
+  const uint64_t sum = CatalogSegmentChecksum(bytes.data(), bytes.size());
   std::memcpy(&manifest[ManifestSegmentOffset(index)], &size, sizeof(size));
   std::memcpy(&manifest[ManifestSegmentOffset(index) + sizeof(size)], &sum,
               sizeof(sum));
@@ -891,6 +892,233 @@ TEST(CatalogCorruptionTest, CorruptValuesBehindValidChecksumsAreIoError) {
   EXPECT_TRUE(MakeEngine(2)->OpenCatalog(dir).ok());
 }
 
+// ----------------------------------------------------------- v3 format
+
+/// Offset of the value-checkpoint count in the manifest: right after the
+/// four segment pairs. The checkpoint offsets (u64 each) follow it.
+size_t ManifestCheckpointOffset() { return ManifestSegmentOffset(4); }
+
+uint64_t ManifestU64(const std::string& manifest, size_t offset) {
+  uint64_t v = 0;
+  std::memcpy(&v, &manifest[offset], sizeof(v));
+  return v;
+}
+
+const char* const kSegmentStems[] = {kCatalogValuesStem, kCatalogHashesStem,
+                                     kCatalogTablesStem, kCatalogSketchesStem};
+
+/// A table of `rows` values never seen before (unique strings of varied
+/// length), plus a low-cardinality column, so every segment grows.
+Table FreshValuesTable(const std::string& name, size_t rows,
+                       std::mt19937_64* rng) {
+  std::vector<std::vector<Value>> cells;
+  cells.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    cells.push_back({S(name + "_" + std::to_string(r) +
+                       std::string((*rng)() % 24, 'x')),
+                     S("country_" + std::to_string((*rng)() % 40))});
+  }
+  auto table = Table::FromRows(name, {"City", "Country"}, std::move(cells));
+  EXPECT_TRUE(table.ok());
+  return std::move(table).value();
+}
+
+/// Flips one bit of `path` at `offset`, expects a fresh engine's open to
+/// fail with kIoError and the registry untouched, then restores the byte.
+void ExpectBitFlipIsIoError(const std::string& dir, const std::string& path,
+                            size_t offset, const char* what) {
+  SCOPED_TRACE(what);
+  const std::string original = ReadAll(path);
+  ASSERT_LT(offset, original.size());
+  std::string flipped = original;
+  flipped[offset] ^= 0x10;
+  WriteAll(path, flipped);
+  auto reader = MakeEngine(2);
+  auto opened = reader->OpenCatalog(dir);
+  EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+  EXPECT_EQ(reader->NumTables(), 0u);
+  EXPECT_EQ(reader->session_dict().NumDistinct(), 0u);
+  WriteAll(path, original);
+}
+
+/// Random incremental saves whose appends cross 1 MiB checksum blocks.
+/// After each one the manifest's checksums equal a from-scratch recompute
+/// over the file prefixes (continuing the tail block's hash state is
+/// exact), a fresh engine opens the catalog with nothing re-sketched and
+/// the writer's top-k, and single-bit flips in an interior block, in the
+/// tail block and in a persisted checkpoint each fail the open with
+/// kIoError. Every fourth round the reopened engine becomes the writer.
+TEST(CatalogFormatTest, RandomIncrementalSavesKeepBlockChecksumsExact) {
+  const std::string dir = FreshDir("v3random");
+  std::mt19937_64 rng(0x5E6B10C5);
+  auto writer = MakeEngineWithSmallLake(2);
+  // The values segment starts past one block, so every round has an
+  // interior block to flip.
+  ASSERT_TRUE(writer
+                  ->RegisterTable("seed",
+                                  FreshValuesTable("seed", 50000, &rng))
+                  .ok());
+  auto first = writer->SaveCatalog(dir);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::vector<std::string> added;
+  size_t crossings = 0;
+  for (int round = 0; round < 22; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string before =
+        ReadAll(ManifestPath(dir, writer->catalog_stats().generation));
+    if (!added.empty() && rng() % 3 == 0) {
+      const size_t victim = rng() % added.size();
+      ASSERT_TRUE(writer->Unregister(added[victim]).ok());
+      added.erase(added.begin() + static_cast<ptrdiff_t>(victim));
+    }
+    const std::string name = "t" + std::to_string(round);
+    ASSERT_TRUE(writer
+                    ->RegisterTable(name, FreshValuesTable(
+                                              name, 1000 + rng() % 8000, &rng))
+                    .ok());
+    added.push_back(name);
+    auto saved = writer->SaveCatalog(dir);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    ASSERT_TRUE(saved->incremental);
+    ASSERT_EQ(saved->base, 1u);
+
+    const std::string manifest_path = ManifestPath(dir, saved->generation);
+    const std::string manifest = ReadAll(manifest_path);
+    for (size_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE(kSegmentStems[i]);
+      const uint64_t size = ManifestU64(manifest, ManifestSegmentOffset(i));
+      const uint64_t old_size = ManifestU64(before, ManifestSegmentOffset(i));
+      if (size / kCatalogChecksumBlock != old_size / kCatalogChecksumBlock) {
+        ++crossings;
+      }
+      const std::string bytes = ReadAll(SegmentPath(dir, kSegmentStems[i]));
+      ASSERT_LE(size, bytes.size());
+      EXPECT_EQ(ManifestU64(manifest, ManifestSegmentOffset(i) + 8),
+                CatalogSegmentChecksum(bytes.data(), size));
+    }
+
+    auto reader = MakeEngine(2);
+    auto opened = reader->OpenCatalog(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->columns_resketched, 0u);
+    EXPECT_EQ(opened->tables_loaded, writer->NumTables());
+    auto want = writer->DiscoverUnionable(name, 4);
+    auto got = reader->DiscoverUnionable(name, 4);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameCandidates(*got, *want);
+
+    const std::string values_path = SegmentPath(dir, kCatalogValuesStem);
+    const uint64_t values_size =
+        ManifestU64(manifest, ManifestSegmentOffset(0));
+    const uint64_t tail_start =
+        (values_size - 1) / kCatalogChecksumBlock * kCatalogChecksumBlock;
+    ASSERT_GT(tail_start, 0u);
+    ExpectBitFlipIsIoError(dir, values_path, rng() % tail_start,
+                           "interior block");
+    ExpectBitFlipIsIoError(dir, values_path,
+                           tail_start + rng() % (values_size - tail_start),
+                           "tail block");
+    const uint64_t checkpoints =
+        ManifestU64(manifest, ManifestCheckpointOffset());
+    ASSERT_GT(checkpoints, 1u);
+    ExpectBitFlipIsIoError(dir, manifest_path,
+                           ManifestCheckpointOffset() + 8 +
+                               8 * (1 + rng() % (checkpoints - 1)) +
+                               rng() % 8,
+                           "persisted checkpoint");
+    // Now and then the reopened engine takes over as the writer, so later
+    // appends continue from the hash state an open computed.
+    if (round % 4 == 3) writer = std::move(reader);
+  }
+  EXPECT_GE(crossings, 2u);
+}
+
+/// A catalog whose single column holds `count` distinct values, so its
+/// manifest carries count / kCatalogValueCheckpoint + 1 checkpoints.
+std::unique_ptr<LakeEngine> MakeEngineWithDistinctValues(size_t count) {
+  std::vector<std::vector<Value>> cells;
+  for (size_t i = 0; i < count; ++i) {
+    cells.push_back({S("v" + std::to_string(i) + std::string(i % 7, 'y'))});
+  }
+  auto table = Table::FromRows("wide", {"Value"}, std::move(cells));
+  EXPECT_TRUE(table.ok());
+  auto engine = MakeEngine(1);
+  EXPECT_TRUE(engine->RegisterTable("wide", std::move(table).value()).ok());
+  return engine;
+}
+
+/// Checkpoints that disagree with the record boundaries — behind a valid
+/// manifest checksum, so only the restore's own checks can see them —
+/// fail the open with kIoError and leave the dictionary empty, at every
+/// pool size.
+TEST(CatalogFormatTest, MisalignedCheckpointsAreIoError) {
+  const std::string dir = FreshDir("v3checkpoints");
+  ASSERT_TRUE(MakeEngineWithDistinctValues(3000)->SaveCatalog(dir).ok());
+  const std::string manifest = ReadAll(ManifestPath(dir));
+  const std::string values = ReadAll(SegmentPath(dir, kCatalogValuesStem));
+  const std::vector<ValueRecord> records = ValueRecords(values);
+  ASSERT_EQ(records.size(), 3000u);
+  ASSERT_EQ(ManifestU64(manifest, ManifestCheckpointOffset()), 3u);
+  // Checkpoint k records the offset of code k * 1024 (records[code - 1]).
+  ASSERT_EQ(ManifestU64(manifest, ManifestCheckpointOffset() + 8 * 2),
+            records[1023].offset);
+
+  struct Case {
+    const char* what;
+    size_t checkpoint;
+    uint64_t offset;
+  };
+  const Case cases[] = {
+      {"checkpoint points mid-record", 1, records[1023].offset + 1},
+      {"record run overshoots its next checkpoint", 1, records[1022].offset},
+      {"last checkpoint points mid-record", 2, records[2047].offset + 2},
+      {"checkpoint past the segment end", 2, values.size() + 8},
+  };
+  for (const Case& c : cases) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(std::string(c.what) +
+                   ", threads=" + std::to_string(threads));
+      std::string bad = manifest;
+      std::memcpy(&bad[ManifestCheckpointOffset() + 8 * (1 + c.checkpoint)],
+                  &c.offset, sizeof(c.offset));
+      FixupManifestChecksum(&bad);
+      WriteAll(ManifestPath(dir), bad);
+      auto engine = MakeEngine(threads);
+      auto opened = engine->OpenCatalog(dir);
+      EXPECT_EQ(opened.code(), ErrorCode::kIoError);
+      EXPECT_NE(opened.status().message().find("checkpoint"),
+                std::string::npos)
+          << opened.status().ToString();
+      EXPECT_EQ(engine->NumTables(), 0u);
+      EXPECT_EQ(engine->session_dict().NumDistinct(), 0u);
+    }
+  }
+  WriteAll(ManifestPath(dir), manifest);
+  EXPECT_TRUE(MakeEngine(2)->OpenCatalog(dir).ok());
+}
+
+/// No v2 reader is kept: a v2 manifest is version skew, counted as an open
+/// failure, and the engine rebuilds cold.
+TEST(CatalogFormatTest, V2ManifestIsVersionSkew) {
+  const std::string dir = FreshDir("v2manifest");
+  ASSERT_TRUE(MakeEngineWithSmallLake(1)->SaveCatalog(dir).ok());
+  std::string manifest = ReadAll(ManifestPath(dir));
+  const uint32_t v2 = 2;
+  std::memcpy(&manifest[sizeof(kCatalogMagic)], &v2, sizeof(v2));
+  FixupManifestChecksum(&manifest);
+  WriteAll(ManifestPath(dir), manifest);
+
+  auto engine = MakeEngine(2);
+  auto opened = engine->OpenCatalog(dir);
+  EXPECT_EQ(opened.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(engine->catalog_stats().open_failures, 1u);
+  EXPECT_EQ(engine->NumTables(), 0u);
+  for (auto& t : SmallLake()) {
+    ASSERT_TRUE(engine->RegisterTable(t.name(), t).ok());
+  }
+  EXPECT_TRUE(engine->Integrate({"cities", "rates"}).ok());
+}
+
 // ---------------------------------------------------------- golden hashes
 
 /// Locked constants: the catalog persists ValueDict::HashOf side tables,
@@ -906,6 +1134,29 @@ TEST(CatalogGoldenTest, ValueHashesAreStable) {
   // ±0.0 must stay collapsed: both encodings intern to one dict entry.
   EXPECT_EQ(Value::Double(-0.0).Hash(), 16525467367716908143ull);
   EXPECT_EQ(Value::Double(0.0).Hash(), Value::Double(-0.0).Hash());
+}
+
+/// The segment checksum every v3 manifest records: XXH64 per 1 MiB block,
+/// folded by XXH64 over the digests seeded with the size. Pinned over a
+/// fixed pattern spanning three whole blocks and a short tail.
+TEST(CatalogGoldenTest, SegmentChecksumIsStable) {
+  ASSERT_EQ(kCatalogChecksumBlock, uint64_t{1} << 20);
+  std::string bytes(3 * kCatalogChecksumBlock + 17, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131) ^ (i >> 13));
+  }
+  std::vector<uint64_t> digests;
+  for (size_t off = 0; off < bytes.size(); off += kCatalogChecksumBlock) {
+    digests.push_back(Xxh64(
+        bytes.data() + off,
+        std::min<size_t>(kCatalogChecksumBlock, bytes.size() - off)));
+  }
+  ASSERT_EQ(digests.size(), 4u);
+  const uint64_t checksum = CatalogSegmentChecksum(bytes.data(), bytes.size());
+  EXPECT_EQ(checksum, Xxh64(digests.data(), digests.size() * sizeof(uint64_t),
+                            bytes.size()));
+  EXPECT_EQ(checksum, 4930124931424307866ull);
+  EXPECT_EQ(CatalogSegmentChecksum(nullptr, 0), Xxh64(nullptr, 0, 0));
 }
 
 TEST(CatalogGoldenTest, DictHashOfMatchesValueHash) {

@@ -1,9 +1,11 @@
 // Tests for src/util: Status/Result, strings, hashing, RNG, flags, pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "util/flags.h"
 #include "util/hash.h"
@@ -174,6 +176,38 @@ TEST(HashTest, Fnv1aIsDeterministicAndSeedSensitive) {
   EXPECT_EQ(Fnv1a64("abc"), Fnv1a64("abc"));
   EXPECT_NE(Fnv1a64("abc"), Fnv1a64("abd"));
   EXPECT_NE(Fnv1a64("abc", 1), Fnv1a64("abc", 2));
+}
+
+/// Published XXH64 digests (seed 0); the 39-byte input runs the 4-lane
+/// stripe loop, the short ones only the tail rounds.
+TEST(HashTest, Xxh64MatchesReferenceVectors) {
+  EXPECT_EQ(Xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64("a", 1), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(Xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+  const std::string spam = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(Xxh64(spam.data(), spam.size()), 0xFBCEA83C8A378BF1ULL);
+  EXPECT_NE(Xxh64("abc", 3, 1), Xxh64("abc", 3, 2));
+}
+
+/// Any split of the input across Update calls, with digests taken along
+/// the way, ends at the one-shot digest.
+TEST(HashTest, Xxh64StreamMatchesOneShotAtAnySplit) {
+  Rng rng(17);
+  std::string bytes(4096, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (int round = 0; round < 500; ++round) {
+    const size_t len = rng.Uniform(bytes.size());
+    const uint64_t seed = rng.Next();
+    Xxh64Stream stream(seed);
+    for (size_t done = 0; done < len;) {
+      const size_t n = std::min(len - done, rng.Uniform(70));
+      stream.Update(bytes.data() + done, n);
+      done += n;
+      if (rng.Uniform(4) == 0) (void)stream.Digest();
+    }
+    ASSERT_EQ(stream.Digest(), Xxh64(bytes.data(), len, seed))
+        << "round " << round << ", len " << len;
+  }
 }
 
 TEST(HashTest, Mix64Avalanches) {
